@@ -838,3 +838,74 @@ func BenchmarkScaleEngine(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkScaleAggregate measures minidb's aggregate and DISTINCT
+// executor on a 10^6-row scale star (10^5 executions x 10 results, so
+// the EAV executions table holds 2x10^5 rows, the perfbench browse
+// shape) on both engines: full-scan COUNT(*), a four-aggregate select,
+// COUNT(DISTINCT), and the star wrapper's discovery calls NumExecs and
+// ExecQueryParams. The disk store keeps the default 64 MiB page cache,
+// below the fact table's decoded size, so its scans decode blocks.
+func BenchmarkScaleAggregate(b *testing.B) {
+	cfg := datagen.ScaleConfig{Executions: 100000, ResultsPerExec: 10, Seed: 7}
+	engines := []struct {
+		name string
+		open func() (*minidb.Database, error)
+	}{
+		{"mem", func() (*minidb.Database, error) { return minidb.NewDatabase(), nil }},
+		{"disk", func() (*minidb.Database, error) {
+			return minidb.Open(minidb.Options{Dir: b.TempDir()})
+		}},
+	}
+	queries := []struct{ name, sql string }{
+		{"CountStar", "SELECT COUNT(*) FROM results"},
+		{"CountAvgMinMax", "SELECT COUNT(value), AVG(value), MIN(value), MAX(value) FROM results"},
+		{"CountDistinct", "SELECT COUNT(DISTINCT execid) FROM results"},
+	}
+	for _, eng := range engines {
+		db, err := eng.open()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := datagen.LoadScaleStar(db, cfg); err != nil {
+			b.Fatal(err)
+		}
+		if err := mapping.DeclareStarIndexes(db); err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range queries {
+			stmt, err := db.Prepare(q.sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(eng.name+"/"+q.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := stmt.Query(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		star := &mapping.StarWrapper{DB: db}
+		b.Run(eng.name+"/BrowseNumExecs", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n, err := star.NumExecs(); err != nil || n != cfg.Executions {
+					b.Fatal(n, err)
+				}
+			}
+		})
+		b.Run(eng.name+"/BrowseExecQueryParams", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := star.ExecQueryParams(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

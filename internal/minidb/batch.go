@@ -1,9 +1,6 @@
 package minidb
 
-import (
-	"strings"
-	"sync"
-)
+import "sync"
 
 // This file is the vectorized half of the streaming SELECT result API.
 // Row-at-a-time iteration (Rows.Next) materializes one fresh []Value per
@@ -94,17 +91,14 @@ func (b *ValueBatch) truncateRow() {
 	}
 }
 
-// rowKeyAt renders the DISTINCT dedup key of row i, byte-identical to
-// rowKey on the equivalent row slice.
-func (b *ValueBatch) rowKeyAt(i int) string {
-	var sb strings.Builder
+// addBatchRow records row i of b in the DISTINCT seen-set, reporting
+// whether it was new; the key is the one add builds for the same row.
+func (s *distinctSet) addBatchRow(b *ValueBatch, i int) bool {
+	s.buf = s.buf[:0]
 	for c := range b.cols {
-		v := b.cols[c][i]
-		sb.WriteByte(byte(v.Kind))
-		sb.WriteString(v.String())
-		sb.WriteByte(0)
+		s.buf = appendValueKey(s.buf, b.cols[c][i])
 	}
-	return sb.String()
+	return s.addKey()
 }
 
 // NextBatch fills b with up to max result rows (DefaultBatchSize when
@@ -165,8 +159,8 @@ func (r *Rows) NextBatch(b *ValueBatch, max int) bool {
 		} else {
 			r.env.row = row
 			failed := false
-			for c, it := range r.st.Items {
-				v, err := eval(it.Expr, r.env)
+			for c, it := range r.items {
+				v, err := it.eval(r.env)
 				if err != nil {
 					r.err = err
 					r.finish()
@@ -180,13 +174,9 @@ func (r *Rows) NextBatch(b *ValueBatch, max int) bool {
 				break
 			}
 		}
-		if r.seen != nil {
-			k := b.rowKeyAt(b.rows)
-			if r.seen[k] {
-				b.truncateRow()
-				continue
-			}
-			r.seen[k] = true
+		if r.seen != nil && !r.seen.addBatchRow(b, b.rows) {
+			b.truncateRow()
+			continue
 		}
 		b.rows++
 		r.emitted++

@@ -75,10 +75,15 @@ func buildZoneMap(rows []Row, ncols int) []zoneEntry {
 	zm := make([]zoneEntry, ncols)
 	for c := 0; c < ncols; c++ {
 		z := &zm[c]
+		nan := false
 		for _, r := range rows {
 			v := r[c]
 			if v.IsNull() {
 				z.nulls++
+				continue
+			}
+			if v.Kind == KindFloat && math.IsNaN(v.Float) {
+				nan = true
 				continue
 			}
 			if z.min.IsNull() || Compare(v, z.min) < 0 {
@@ -86,6 +91,17 @@ func buildZoneMap(rows []Row, ncols int) []zoneEntry {
 			}
 			if z.max.IsNull() || Compare(v, z.max) > 0 {
 				z.max = v
+			}
+		}
+		if nan {
+			// NaN compares equal to every number, so it has no place in
+			// the Compare order the extremes track: a NaN that became an
+			// extreme would hide every other value from pruning. It
+			// widens the zone to the whole numeric range instead (text
+			// still sorts above that range).
+			z.min = Float(math.Inf(-1))
+			if z.max.Kind != KindText {
+				z.max = Float(math.Inf(1))
 			}
 		}
 	}

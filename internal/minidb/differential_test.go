@@ -12,8 +12,10 @@ package minidb_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pperfgrid/internal/datagen"
@@ -201,5 +203,163 @@ func TestDifferentialWideQueries(t *testing.T) {
 			q = fmt.Sprintf("SELECT COUNT(*), AVG(gflops) FROM executions WHERE execid != '%d'", id)
 		}
 		assertSameResults(t, db, q)
+	}
+}
+
+// loadAggTable creates and fills table m for the aggregate differential:
+// an INT column with NULLs, a FLOAT column holding NaN, -0 and 0, a TEXT
+// column with numeric, empty and separator-bearing text, an INT column x
+// mixing ints with numeric text (non-numeric text only in group g0, so
+// SUM(x) fails or not by filter), and a group column g.
+func loadAggTable(t *testing.T, db *minidb.Database, seed int64, n int) {
+	t.Helper()
+	if _, err := db.Exec(`CREATE TABLE m (i INT, f FLOAT, s TEXT, x INT, g TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1, 1.5, 2.25, -3.75, 0.1}
+	texts := []string{"a", "b", "", "1", " 2 ", "a\x00\x03b", "b\x00\x03c", "abc"}
+	maybeNull := func(v minidb.Value) minidb.Value {
+		if rng.Intn(8) == 0 {
+			return minidb.Null()
+		}
+		return v
+	}
+	rows := make([][]minidb.Value, n)
+	for r := range rows {
+		g := rng.Intn(4)
+		var x minidb.Value
+		switch k := rng.Intn(6); {
+		case g == 0 && k == 0:
+			x = minidb.Text("abc")
+		case k == 1:
+			x = minidb.Text("2.5")
+		case k == 2:
+			x = minidb.Text("1e1")
+		default:
+			x = minidb.Int(int64(rng.Intn(9)))
+		}
+		rows[r] = []minidb.Value{
+			maybeNull(minidb.Int(int64(rng.Intn(40) - 10))),
+			maybeNull(minidb.Float(floats[rng.Intn(len(floats))])),
+			maybeNull(minidb.Text(texts[rng.Intn(len(texts))])),
+			maybeNull(x),
+			minidb.Text(fmt.Sprintf("g%d", g)),
+		}
+	}
+	if err := db.InsertRows("m", rows); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randAggQuery composes one aggregate or DISTINCT query over table m:
+// plain and DISTINCT aggregates over every column kind, arguments that
+// fail only once a row reaches them (an unknown column, a nested
+// aggregate), several failing aggregates in one list, a plain column
+// mixed in, LIMIT on all-aggregate selects, and row DISTINCT with and
+// without ORDER BY.
+func randAggQuery(rng *rand.Rand) string {
+	conds := []string{"g = 'g1'", "g != 'g0'", "i > 5", "i IS NULL", "g = 'none'",
+		"i BETWEEN 0 AND 9", "s LIKE 'a%'", "f > 1", "x IS NOT NULL"}
+	where := ""
+	sep := " WHERE "
+	for i, n := 0, rng.Intn(3); i < n; i++ {
+		where += sep + conds[rng.Intn(len(conds))]
+		sep = " AND "
+	}
+	limit := ""
+	if rng.Intn(4) == 0 {
+		limit = fmt.Sprintf(" LIMIT %d", rng.Intn(3))
+	}
+	if rng.Intn(3) == 0 {
+		shapes := []string{"f", "s, x", "x", "g, i", "*", "s AS k, g"}
+		orders := []string{"", " ORDER BY s", " ORDER BY x DESC, g", " ORDER BY i", " ORDER BY g, i DESC", " ORDER BY k"}
+		shape := shapes[rng.Intn(len(shapes))]
+		order := orders[rng.Intn(len(orders))]
+		return "SELECT DISTINCT " + shape + " FROM m" + where + order + limit
+	}
+	funcs := []string{"COUNT(%s)", "COUNT(DISTINCT %s)", "SUM(%s)", "SUM(DISTINCT %s)",
+		"AVG(%s)", "AVG(DISTINCT %s)", "MIN(%s)", "MAX(%s)", "MIN(DISTINCT %s)"}
+	args := []string{"i", "f", "s", "x", "g", "i", "f", "x", "nosuch", "MAX(i)"}
+	var items []string
+	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+		switch rng.Intn(12) {
+		case 0:
+			items = append(items, "COUNT(*)")
+		case 1:
+			items = append(items, "g")
+		default:
+			items = append(items, fmt.Sprintf(funcs[rng.Intn(len(funcs))], args[rng.Intn(len(args))]))
+		}
+	}
+	return "SELECT " + strings.Join(items, ", ") + " FROM m" + where + limit
+}
+
+// typedResult renders a result with every value's kind, so an Int 1 and
+// a Float 1 (or -0 and 0) can never compare equal.
+func typedResult(rs *minidb.ResultSet) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%q\n", rs.Columns)
+	for _, row := range rs.Rows {
+		for _, v := range row {
+			fmt.Fprintf(&b, "%d:%q|", v.Kind, v.String())
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestDifferentialAggregates runs randomized aggregate and DISTINCT
+// queries through the planned pipeline and the naive executor on both
+// engines (the disk table spans sealed blocks and an unsealed tail),
+// asserting identical error text or identical typed results.
+func TestDifferentialAggregates(t *testing.T) {
+	engines := []struct {
+		name string
+		open func(t *testing.T) *minidb.Database
+	}{
+		{"memory", func(t *testing.T) *minidb.Database { return minidb.NewDatabase() }},
+		{"disk", func(t *testing.T) *minidb.Database {
+			db, err := minidb.Open(minidb.Options{Dir: t.TempDir(), SealRows: 256, DisableAutoCompact: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			return db
+		}},
+	}
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			db := eng.open(t)
+			loadAggTable(t, db, 5, 700)
+			if err := db.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Exec(`INSERT INTO m VALUES (4, 1.5, 'tail', '2.5', 'g2')`); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(11))
+			fails := 0
+			for i := 0; i < 400; i++ {
+				q := randAggQuery(rng)
+				planned, perr := db.Query(q)
+				naive, nerr := db.QueryNaive(q)
+				if fmt.Sprint(perr) != fmt.Sprint(nerr) {
+					t.Fatalf("%q: planned err %v, naive err %v", q, perr, nerr)
+				}
+				if perr != nil {
+					fails++
+					continue
+				}
+				if p, n := typedResult(planned), typedResult(naive); p != n {
+					t.Fatalf("%q diverged\nplanned:\n%s\nnaive:\n%s", q, p, n)
+				}
+			}
+			// Both outcomes must be well represented for the run to mean
+			// anything.
+			if fails < 40 || fails > 360 {
+				t.Errorf("%d of 400 queries failed; the generator lost its balance", fails)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package minidb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -690,6 +691,52 @@ func TestZoneMapPruning(t *testing.T) {
 	}
 	if after := db.EngineStats().BlocksSkipped; after-before < 15 {
 		t.Errorf("scan-time skip counter advanced by %d, want >= 15", after-before)
+	}
+}
+
+// TestZoneMapNaN pins zone maps over a float column holding NaN. NaN
+// compares equal to every number, so a block whose first value is NaN
+// once recorded NaN as both extremes and was pruned for f > 1 although
+// every other row matched.
+func TestZoneMapNaN(t *testing.T) {
+	db := openDisk(t, testDiskOpts(t.TempDir()))
+	db.MustExec(`CREATE TABLE z (id INT, f FLOAT)`)
+	rows := make([][]Value, 2*vecBlockSize)
+	for i := range rows {
+		f := 2.0
+		if i%vecBlockSize == 0 {
+			f = math.NaN()
+		}
+		if i >= vecBlockSize {
+			f = -f
+		}
+		rows[i] = []Value{Int(int64(i)), Float(f)}
+	}
+	if err := db.InsertRows("z", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]int{
+		`SELECT id FROM z WHERE f > 1`:                  vecBlockSize - 1,
+		`SELECT id FROM z WHERE f < -1`:                 vecBlockSize - 1,
+		`SELECT id FROM z WHERE f >= 2`:                 vecBlockSize + 1,
+		`SELECT id FROM z WHERE f BETWEEN 1 AND 3`:      vecBlockSize + 1,
+		`SELECT id FROM z WHERE f > 'a'`:                0,
+		`SELECT id FROM z WHERE f NOT BETWEEN -1 AND 1`: 2*vecBlockSize - 2,
+	} {
+		planned, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive, err := db.QueryNaive(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resultString(planned) != resultString(naive) || len(planned.Rows) != want {
+			t.Errorf("%q: planned %d rows, naive %d, want %d", q, len(planned.Rows), len(naive.Rows), want)
+		}
 	}
 }
 

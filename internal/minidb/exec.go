@@ -3,6 +3,7 @@ package minidb
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -494,17 +495,28 @@ func exprName(e Expr, i int) string {
 	}
 }
 
+// rowKey renders a row's DISTINCT key: per value its kind byte, the
+// decimal length of its rendering, ':', and the rendering, so no text
+// content can make two different rows render alike.
 func rowKey(row []Value) string {
 	var b strings.Builder
 	for _, v := range row {
+		s := v.String()
 		b.WriteByte(byte(v.Kind))
-		b.WriteString(v.String())
-		b.WriteByte(0)
+		b.WriteString(strconv.Itoa(len(s)))
+		b.WriteByte(':')
+		b.WriteString(s)
 	}
 	return b.String()
 }
 
-// runAggregates evaluates an all-aggregate select list over the row stream.
+func errMixedAggregates() error {
+	return errf("exec", "select list mixes aggregates and plain columns (GROUP BY is not supported)")
+}
+
+// runAggregates evaluates an all-aggregate select list over the
+// materialized row stream, one aggregate at a time. It is the naive
+// executor's path and the oracle for the planned accumulators (agg.go).
 func runAggregates(st *SelectStmt, cols []qcol, rows []Row) (*ResultSet, error) {
 	out := make([]Value, len(st.Items))
 	names := outputColumns(st, cols)
@@ -512,7 +524,7 @@ func runAggregates(st *SelectStmt, cols []qcol, rows []Row) (*ResultSet, error) 
 	for i, it := range st.Items {
 		agg, ok := it.Expr.(*Aggregate)
 		if !ok {
-			return nil, errf("exec", "select list mixes aggregates and plain columns (GROUP BY is not supported)")
+			return nil, errMixedAggregates()
 		}
 		v, err := computeAggregate(agg, e, rows)
 		if err != nil {

@@ -26,11 +26,12 @@ import (
 //     instead of sorting the full result.
 //
 // Execution is a pull-based iterator pipeline (rowSrc), so consumers can
-// stream rows without materializing the whole result; aggregate queries
-// and ORDER BY queries not satisfied by an index still materialize, as
-// they must. Residual base-scan predicates run column-at-a-time through
-// compiled kernels over selection-vector blocks (vector.go) rather than
-// row-at-a-time through eval.
+// stream rows without materializing the whole result. Aggregates fold the
+// stream into accumulators and DISTINCT drops duplicates on arrival
+// (agg.go); ORDER BY queries not satisfied by an index materialize the
+// rows they keep, as they must. Residual base-scan predicates run
+// column-at-a-time through compiled kernels over selection-vector blocks
+// (vector.go) rather than row-at-a-time through eval.
 //
 // Index and hash-join buckets may contain false positives (see indexKey),
 // so the pipeline re-evaluates every pushed predicate and the full ON
@@ -109,6 +110,13 @@ type selectPlan struct {
 	vecPreds []vecPred  // compiled column-at-a-time forms of leftPred, 1:1
 	orderBy  *orderPush // non-nil: ORDER BY satisfiable from index order
 	hasAgg   bool
+
+	// Per-row work bound to the combined row shape (agg.go): the
+	// aggregate items up to the first plain one when hasAgg, else the
+	// projection (nil for SELECT *) and the ORDER BY keys.
+	aggs  []aggSpec
+	items []boundExpr
+	keys  []boundExpr
 
 	join *joinPlan // nil for single-table queries
 }
@@ -206,16 +214,7 @@ func exprStaticallySafe(e Expr, cols []qcol) bool {
 	case nil, *Literal, *Param:
 		return true
 	case *ColumnRef:
-		found := 0
-		for _, c := range cols {
-			if c.name != x.Name {
-				continue
-			}
-			if x.Table != "" && !strings.EqualFold(c.qualifier, x.Table) {
-				continue
-			}
-			found++
-		}
+		_, found := resolveStatic(x, cols)
 		return found == 1
 	case *Binary:
 		return exprStaticallySafe(x.L, cols) && exprStaticallySafe(x.R, cols)
@@ -238,6 +237,24 @@ func exprStaticallySafe(e Expr, cols []qcol) bool {
 		return true
 	}
 	return false // aggregates (row-context error) and unknown node kinds
+}
+
+// resolveStatic matches a column reference against cols the way
+// env.resolve does, returning the number of matches and the position of
+// the last one; the reference resolves iff found == 1.
+func resolveStatic(ref *ColumnRef, cols []qcol) (idx, found int) {
+	idx = -1
+	for i, c := range cols {
+		if c.name != ref.Name {
+			continue
+		}
+		if ref.Table != "" && !strings.EqualFold(c.qualifier, ref.Table) {
+			continue
+		}
+		found++
+		idx = i
+	}
+	return idx, found
 }
 
 // isConst reports whether an expression references no columns, i.e. is
@@ -437,6 +454,26 @@ func (db *Database) planSelect(st *SelectStmt) (*selectPlan, error) {
 	}
 
 	p.hasAgg = !st.Star && hasAggregate(st.Items)
+	if p.hasAgg {
+		for _, it := range st.Items {
+			agg, ok := it.Expr.(*Aggregate)
+			if !ok {
+				break
+			}
+			p.aggs = append(p.aggs, aggSpec{agg: agg, arg: bindExpr(agg.Arg, p.cols)})
+		}
+	} else {
+		if !st.Star {
+			p.items = make([]boundExpr, len(st.Items))
+			for i, it := range st.Items {
+				p.items[i] = bindExpr(it.Expr, p.cols)
+			}
+		}
+		p.keys = make([]boundExpr, len(st.OrderBy))
+		for i, k := range st.OrderBy {
+			p.keys[i] = bindExpr(k.Expr, p.cols)
+		}
+	}
 
 	// A single-key ORDER BY over a plain base-column reference can be
 	// satisfied from an ordered index's key order. The reference must
@@ -444,18 +481,7 @@ func (db *Database) planSelect(st *SelectStmt) (*selectPlan, error) {
 	// a base column; DISTINCT and aggregates disqualify.
 	if len(st.OrderBy) == 1 && !st.Distinct && !p.hasAgg {
 		if cr, ok := st.OrderBy[0].Expr.(*ColumnRef); ok {
-			found, idx := 0, -1
-			for i, c := range p.cols {
-				if c.name != cr.Name {
-					continue
-				}
-				if cr.Table != "" && !strings.EqualFold(c.qualifier, cr.Table) {
-					continue
-				}
-				found++
-				idx = i
-			}
-			if found == 1 && idx < p.nLeft {
+			if idx, found := resolveStatic(cr, p.cols); found == 1 && idx < p.nLeft {
 				p.orderBy = &orderPush{col: idx, desc: st.OrderBy[0].Desc}
 			}
 		}
@@ -976,10 +1002,11 @@ func (p *selectPlan) pipeline(args []Value, acc accessChoice) rowSrc {
 }
 
 // runPlan executes a planned SELECT, returning a Rows iterator. Plain
-// scans stream; DISTINCT streams through a seen-set; ORDER BY and
-// aggregate queries materialize eagerly (their Rows iterate the
-// materialized output). The caller must hold at least a read lock for as
-// long as a streaming Rows is in use.
+// scans stream, and DISTINCT streams through a seen-set. Aggregates fold
+// the row stream into accumulators without retaining any row, and ORDER
+// BY not satisfied by an index materializes only the rows it keeps; both
+// return a Rows over that finished output. The caller must hold at least
+// a read lock for as long as a streaming Rows is in use.
 func (db *Database) runPlan(st *SelectStmt, args []Value) (*Rows, error) {
 	p, err := db.planSelect(st)
 	if err != nil {
@@ -1011,23 +1038,12 @@ func (p *selectPlan) rows(args []Value) (*Rows, error) {
 	outCols := outputColumns(st, p.cols)
 
 	if p.hasAgg {
-		var rows []Row
-		for {
-			r, err := src.next()
-			if err != nil {
-				return nil, err
-			}
-			if r == nil {
-				break
-			}
-			rows = append(rows, r.clone())
-		}
-		rs, err := runAggregates(st, p.cols, rows)
+		row, err := p.runAggregatePlan(src, args)
 		if err != nil {
 			return nil, err
 		}
 		// The naive executor ignores LIMIT on all-aggregate selects; match it.
-		return &Rows{Columns: rs.Columns, mat: rs.Rows, limit: -1, materialized: true}, nil
+		return &Rows{Columns: outCols, mat: [][]Value{row}, limit: -1, materialized: true}, nil
 	}
 
 	if len(st.OrderBy) > 0 {
@@ -1036,32 +1052,60 @@ func (p *selectPlan) rows(args []Value) (*Rows, error) {
 			// stream them, with LIMIT stopping the walk early instead of
 			// materializing and truncating. (DISTINCT never reaches here;
 			// see orderPush.)
-			return &Rows{
-				Columns: outCols,
-				st:      st,
-				src:     src,
-				env:     &env{cols: p.cols, args: args},
-				limit:   st.Limit,
-			}, nil
+			return p.streamRows(src, args, outCols), nil
 		}
-		mat, err := materializeOrdered(st, p.cols, src, args)
+		mat, err := p.materializeOrdered(src, args)
 		if err != nil {
 			return nil, err
 		}
 		return &Rows{Columns: outCols, mat: mat, limit: st.Limit, materialized: true}, nil
 	}
 
-	rows := &Rows{
-		Columns: outCols,
-		st:      st,
-		src:     src,
-		env:     &env{cols: p.cols, args: args},
-		limit:   st.Limit,
-	}
+	rows := p.streamRows(src, args, outCols)
 	if st.Distinct {
-		rows.seen = make(map[string]bool)
+		rows.seen = newDistinctSet()
 	}
 	return rows, nil
+}
+
+// streamRows wraps a row stream in a streaming Rows.
+func (p *selectPlan) streamRows(src rowSrc, args []Value, outCols []string) *Rows {
+	return &Rows{
+		Columns: outCols,
+		st:      p.st,
+		src:     src,
+		env:     &env{cols: p.cols, args: args},
+		items:   p.items,
+		limit:   p.st.Limit,
+	}
+}
+
+// evalKeys evaluates the ORDER BY keys into dst for the row in e whose
+// projection is out.
+func (p *selectPlan) evalKeys(dst []Value, e *env, out []Value) error {
+	for i, k := range p.keys {
+		v, err := k.eval(e)
+		if err != nil {
+			// Allow ORDER BY to reference an output alias.
+			if v, err = aliasValue(k.e, p.st.Items, out); err != nil {
+				return err
+			}
+		}
+		dst[i] = v
+	}
+	return nil
+}
+
+// evalInto evaluates items against the row in e into out.
+func evalInto(out []Value, items []boundExpr, e *env) error {
+	for i, it := range items {
+		v, err := it.eval(e)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
 }
 
 // projRow is one projected row awaiting the ORDER BY sort. seq is the
@@ -1074,12 +1118,24 @@ type projRow struct {
 	seq  int
 }
 
+// clone copies the row into one fresh allocation.
+func (pr *projRow) clone() projRow {
+	buf := make([]Value, len(pr.out)+len(pr.keys))
+	n := copy(buf, pr.out)
+	copy(buf[n:], pr.keys)
+	return projRow{out: buf[:n:n], keys: buf[n:], seq: pr.seq}
+}
+
 // materializeOrdered projects, deduplicates, and sorts the full row
-// stream — the ORDER BY path, which cannot stream. When a LIMIT is
-// present (and no DISTINCT), only the top LIMIT rows are retained in a
-// bounded max-heap instead of sorting the full result: O(n log k) time
-// and O(k) memory for a top-k query over n rows.
-func materializeOrdered(st *SelectStmt, cols []qcol, src rowSrc, args []Value) ([][]Value, error) {
+// stream — the ORDER BY path, which cannot stream. Each row is projected
+// into scratch buffers and copied out only when kept: DISTINCT drops a
+// duplicate at arrival (the first-in-stream representative, with its
+// keys, is the one kept), and with a LIMIT (and no DISTINCT) only the
+// top LIMIT rows are retained in a bounded max-heap whose evicted
+// entries are overwritten in place: O(n log k) time and O(k) memory for
+// a top-k query over n rows.
+func (p *selectPlan) materializeOrdered(src rowSrc, args []Value) ([][]Value, error) {
+	st := p.st
 	less := func(a, b *projRow) bool {
 		for k, key := range st.OrderBy {
 			c := Compare(a.keys[k], b.keys[k])
@@ -1093,13 +1149,17 @@ func materializeOrdered(st *SelectStmt, cols []qcol, src rowSrc, args []Value) (
 		}
 		return a.seq < b.seq
 	}
-	// DISTINCT deduplicates before sorting (keeping first-in-stream
-	// representatives), so it must see every row: no top-k for it.
+	// DISTINCT must see every row to pick its representatives: no top-k.
 	topK := st.Limit >= 0 && !st.Distinct
+	var seen *distinctSet
+	if st.Distinct {
+		seen = newDistinctSet()
+	}
 
 	var projected []projRow // plain mode, and the heap in top-k mode
-	e := &env{cols: cols, args: args}
-	seq := 0
+	e := &env{cols: p.cols, args: args}
+	cur := projRow{out: make([]Value, len(p.items)), keys: make([]Value, len(p.keys))}
+	scratch := cur.out
 	for {
 		r, err := src.next()
 		if err != nil {
@@ -1108,63 +1168,42 @@ func materializeOrdered(st *SelectStmt, cols []qcol, src rowSrc, args []Value) (
 		if r == nil {
 			break
 		}
+		// Every row is projected, rows outside the top k included, so
+		// evaluation errors surface exactly as in the naive executor. Keys
+		// are evaluated only for rows kept: an evaluation error depends on
+		// the statement alone (an unresolvable column, an unbound
+		// parameter, a misplaced aggregate), never on row values, so the
+		// first row, always kept, surfaces any key error.
 		e.row = r
-		var out []Value
 		if st.Star {
-			out = r.clone()
-		} else {
-			out = make([]Value, len(st.Items))
-			for i, it := range st.Items {
-				v, err := eval(it.Expr, e)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
-			}
+			cur.out = r
+		} else if err := evalInto(scratch, p.items, e); err != nil {
+			return nil, err
 		}
-		keys := make([]Value, len(st.OrderBy))
-		for i, k := range st.OrderBy {
-			v, err := eval(k.Expr, e)
-			if err != nil {
-				v, err = aliasValue(k.Expr, st.Items, out)
-				if err != nil {
-					return nil, err
-				}
-			}
-			keys[i] = v
+		if seen != nil && !seen.add(cur.out) {
+			continue
 		}
-		pr := projRow{out: out, keys: keys, seq: seq}
-		seq++
+		if err := p.evalKeys(cur.keys, e, cur.out); err != nil {
+			return nil, err
+		}
 		if topK {
 			// Max-heap of the LIMIT least rows: the root is the greatest
-			// kept row, evicted when a lesser row arrives. (Projection and
-			// key evaluation above still ran for every row, so evaluation
-			// errors surface exactly as in the full sort.)
+			// kept row, overwritten when a lesser row arrives.
 			switch {
 			case st.Limit == 0:
 			case len(projected) < st.Limit:
-				projected = append(projected, pr)
+				projected = append(projected, cur.clone())
 				heapSiftUp(projected, len(projected)-1, less)
-			case less(&pr, &projected[0]):
-				projected[0] = pr
+			case less(&cur, &projected[0]):
+				copy(projected[0].out, cur.out)
+				copy(projected[0].keys, cur.keys)
+				projected[0].seq = cur.seq
 				heapSiftDown(projected, 0, less)
 			}
-			continue
+		} else {
+			projected = append(projected, cur.clone())
 		}
-		projected = append(projected, pr)
-	}
-	if st.Distinct {
-		seen := make(map[string]bool, len(projected))
-		kept := projected[:0]
-		for _, pr := range projected {
-			k := rowKey(pr.out)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			kept = append(kept, pr)
-		}
-		projected = kept
+		cur.seq++
 	}
 	// less is a strict total order (seq tie-break), so a plain sort
 	// reproduces the naive executor's stable sort byte for byte.
@@ -1231,8 +1270,10 @@ type Rows struct {
 	st    *SelectStmt
 	src   rowSrc
 	env   *env
-	seen  map[string]bool // DISTINCT
-	limit int             // -1: none
+	items []boundExpr  // projection; nil for SELECT *
+	buf   []Value      // projection scratch, copied out per emitted row
+	seen  *distinctSet // DISTINCT
+	limit int          // -1: none
 
 	mat          [][]Value // ORDER BY / aggregate output
 	materialized bool
@@ -1276,30 +1317,24 @@ func (r *Rows) Next() bool {
 			r.finish()
 			return false
 		}
-		var out []Value
-		if r.st.Star {
-			out = row.clone()
-		} else {
+		out := []Value(row)
+		if !r.st.Star {
+			if r.buf == nil {
+				r.buf = make([]Value, len(r.items))
+			}
 			r.env.row = row
-			out = make([]Value, len(r.st.Items))
-			for i, it := range r.st.Items {
-				v, err := eval(it.Expr, r.env)
-				if err != nil {
-					r.err = err
-					r.finish()
-					return false
-				}
-				out[i] = v
+			if err := evalInto(r.buf, r.items, r.env); err != nil {
+				r.err = err
+				r.finish()
+				return false
 			}
+			out = r.buf
 		}
-		if r.seen != nil {
-			k := rowKey(out)
-			if r.seen[k] {
-				continue
-			}
-			r.seen[k] = true
+		// DISTINCT drops a duplicate before anything is copied.
+		if r.seen != nil && !r.seen.add(out) {
+			continue
 		}
-		r.cur = out
+		r.cur = Row(out).clone()
 		r.emitted++
 		return true
 	}

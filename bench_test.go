@@ -843,9 +843,13 @@ func BenchmarkScaleEngine(b *testing.B) {
 // executor on a 10^6-row scale star (10^5 executions x 10 results, so
 // the EAV executions table holds 2x10^5 rows, the perfbench browse
 // shape) on both engines: full-scan COUNT(*), a four-aggregate select,
-// COUNT(DISTINCT), and the star wrapper's discovery calls NumExecs and
-// ExecQueryParams. The disk store keeps the default 64 MiB page cache,
-// below the fact table's decoded size, so its scans decode blocks.
+// COUNT(DISTINCT), and the star wrapper's discovery calls NumExecs,
+// ExecQueryParams, AllExecIDs and ExecIDs. FarSideDistinct is a DISTINCT
+// the index-distinct path must refuse: 16 metricid buckets over 10^6
+// positions against a 10-row execid probe. Each query's access path is
+// asserted before it is timed. The disk store keeps the default 64 MiB
+// page cache, below the fact table's decoded size, so its scans decode
+// blocks.
 func BenchmarkScaleAggregate(b *testing.B) {
 	cfg := datagen.ScaleConfig{Executions: 100000, ResultsPerExec: 10, Seed: 7}
 	engines := []struct {
@@ -857,10 +861,21 @@ func BenchmarkScaleAggregate(b *testing.B) {
 			return minidb.Open(minidb.Options{Dir: b.TempDir()})
 		}},
 	}
-	queries := []struct{ name, sql string }{
-		{"CountStar", "SELECT COUNT(*) FROM results"},
-		{"CountAvgMinMax", "SELECT COUNT(value), AVG(value), MIN(value), MAX(value) FROM results"},
-		{"CountDistinct", "SELECT COUNT(DISTINCT execid) FROM results"},
+	queries := []struct {
+		name, sql, access string
+		args              []minidb.Value
+	}{
+		{"CountStar", "SELECT COUNT(*) FROM results", "seq-scan", nil},
+		{"CountAvgMinMax", "SELECT COUNT(value), AVG(value), MIN(value), MAX(value) FROM results", "seq-scan", nil},
+		{"CountDistinct", "SELECT COUNT(DISTINCT execid) FROM results", "index-distinct", nil},
+		{"FarSideDistinct", "SELECT DISTINCT metricid FROM results WHERE execid = ?", "index-eq",
+			[]minidb.Value{minidb.Text(cfg.ExecID(cfg.Executions / 2))}},
+	}
+	browse := []struct{ sql, access string }{
+		{"SELECT COUNT(DISTINCT execid) FROM executions", "index-distinct"},
+		{"SELECT DISTINCT attrname FROM executions ORDER BY attrname", "index-distinct"},
+		{"SELECT DISTINCT attrvalue FROM executions WHERE attrname = 'application' ORDER BY attrvalue", "index-distinct"},
+		{"SELECT DISTINCT execid FROM executions ORDER BY execid", "index-distinct"},
 	}
 	for _, eng := range engines {
 		db, err := eng.open()
@@ -873,15 +888,23 @@ func BenchmarkScaleAggregate(b *testing.B) {
 		if err := mapping.DeclareStarIndexes(db); err != nil {
 			b.Fatal(err)
 		}
+		for _, q := range browse {
+			if info, err := db.Explain(q.sql); err != nil || info.Access != q.access {
+				b.Fatalf("%s: %v %v, want access %s", q.sql, info, err, q.access)
+			}
+		}
 		for _, q := range queries {
 			stmt, err := db.Prepare(q.sql)
 			if err != nil {
 				b.Fatal(err)
 			}
+			if info, err := stmt.Explain(q.args...); err != nil || info.Access != q.access {
+				b.Fatalf("%s: %v %v, want access %s", q.sql, info, err, q.access)
+			}
 			b.Run(eng.name+"/"+q.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := stmt.Query(); err != nil {
+					if _, err := stmt.Query(q.args...); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -901,6 +924,22 @@ func BenchmarkScaleAggregate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := star.ExecQueryParams(); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(eng.name+"/BrowseAllExecIDs", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ids, err := star.AllExecIDs(); err != nil || len(ids) != cfg.Executions {
+					b.Fatal(len(ids), err)
+				}
+			}
+		})
+		b.Run(eng.name+"/BrowseExecIDs", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ids, err := star.ExecIDs("application", "hpl"); err != nil || len(ids) == 0 {
+					b.Fatal(len(ids), err)
 				}
 			}
 		})

@@ -86,7 +86,9 @@ func NewWideTableWithOptions(d *datagen.Dataset, opts minidb.Options) (*WideTabl
 
 // StarIndexes are the star-schema index declarations: the fact table's
 // join/filter columns (execid, metricid, fociid), the dimension keys the
-// joins probe, and the EAV execution table's lookup columns. NewStar
+// joins probe, and the EAV execution table's lookup columns (attrvalue
+// lets ExecQueryParams answer its per-attribute DISTINCT from index
+// buckets and narrows ExecIDs' probe). NewStar
 // declares them; tests and benchmarks reuse the list to reproduce the
 // production configuration.
 var StarIndexes = [][2]string{
@@ -100,6 +102,7 @@ var StarIndexes = [][2]string{
 	{"collectors", "name"},
 	{"executions", "execid"},
 	{"executions", "attrname"},
+	{"executions", "attrvalue"},
 }
 
 // StarOrderedIndexes are the star schema's sorted range indexes: the fact

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pperfgrid/internal/datagen"
+	"pperfgrid/internal/minidb"
 	"pperfgrid/internal/perfdata"
 )
 
@@ -385,5 +386,63 @@ func TestMemoryWrapperBasics(t *testing.T) {
 	foci, _ := ew.Foci()
 	if len(foci) != 0 {
 		t.Errorf("Foci of resultless exec = %v", foci)
+	}
+}
+
+// TestStarDiscoveryAccessPaths pins the access paths behind the star
+// wrapper's discovery calls on a scale store: NumExecs, both
+// ExecQueryParams shapes and AllExecIDs answer from hash-index buckets
+// (index-distinct), while a DISTINCT over the 16 metricid buckets of
+// every fact row under a 10-row execid probe keeps the probe path.
+func TestStarDiscoveryAccessPaths(t *testing.T) {
+	db := minidb.NewDatabase()
+	cfg, err := datagen.LoadScaleStar(db, datagen.ScaleConfig{Executions: 400, ResultsPerExec: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := DeclareStarIndexes(db); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql    string
+		args   []minidb.Value
+		access string
+	}{
+		{"SELECT COUNT(DISTINCT execid) FROM executions", nil, "index-distinct"},
+		{"SELECT DISTINCT attrname FROM executions ORDER BY attrname", nil, "index-distinct"},
+		{"SELECT DISTINCT attrvalue FROM executions WHERE attrname = ? ORDER BY attrvalue",
+			[]minidb.Value{minidb.Text("application")}, "index-distinct"},
+		{"SELECT DISTINCT attrvalue FROM executions WHERE attrname = ? ORDER BY attrvalue",
+			[]minidb.Value{minidb.Text("numprocesses")}, "index-distinct"},
+		{"SELECT DISTINCT execid FROM executions ORDER BY execid", nil, "index-distinct"},
+		{"SELECT DISTINCT metricid FROM results WHERE execid = ?",
+			[]minidb.Value{minidb.Text(cfg.ExecID(7))}, "index-eq"},
+	} {
+		stmt, err := db.Prepare(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := stmt.Explain(c.args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Access != c.access {
+			t.Errorf("%s %v: access %s, want %s", c.sql, c.args, info.Access, c.access)
+		}
+	}
+	star := &StarWrapper{DB: db}
+	if n, err := star.NumExecs(); err != nil || n != cfg.Executions {
+		t.Fatalf("NumExecs = %d, %v; want %d", n, err, cfg.Executions)
+	}
+	attrs, err := star.ExecQueryParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []perfdata.Attribute{
+		{Name: "application", Values: []string{"hpl", "smg98", "sppm", "sweep3d"}},
+		{Name: "numprocesses", Values: []string{"16", "2", "32", "4", "8"}},
+	}
+	if !reflect.DeepEqual(attrs, want) {
+		t.Errorf("ExecQueryParams = %v, want %v", attrs, want)
 	}
 }

@@ -1,8 +1,10 @@
 package minidb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // This file is the streaming half of the planned SELECT path's aggregate
@@ -11,7 +13,10 @@ import (
 // projected row up in a seen-set before anything is copied, so both
 // allocate per distinct value kept, never per row scanned. The naive
 // executor (runAggregates / computeAggregate in exec.go) keeps the
-// materialize-then-reduce formulation as the differential oracle.
+// materialize-then-reduce formulation as the differential oracle. The
+// index-distinct path at the end of the file answers single-column
+// DISTINCT and COUNT(DISTINCT) from hash-index buckets with no row
+// stream at all.
 
 // boundExpr is an expression prepared for one row shape: a bare column
 // reference that resolves uniquely is bound to its row position once,
@@ -86,6 +91,23 @@ func floatKeyBits(f float64) uint64 {
 		return nanBits
 	}
 	return math.Float64bits(f)
+}
+
+// sameValue reports whether a and b are one value under DISTINCT: the
+// identity valueSet and appendValueKey implement.
+func sameValue(a, b Value) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	switch a.Kind {
+	case KindInt:
+		return a.Int == b.Int
+	case KindFloat:
+		return floatKeyBits(a.Float) == floatKeyBits(b.Float)
+	case KindText:
+		return a.Text == b.Text
+	}
+	return true
 }
 
 // appendValueKey appends the DISTINCT key of one value: its kind byte,
@@ -286,4 +308,161 @@ func (p *selectPlan) runAggregatePlan(src rowSrc, args []Value) ([]Value, error)
 		return nil, errMixedAggregates()
 	}
 	return out, nil
+}
+
+// distinctRowCost is the cost of one row visit on the probe path (read
+// the row, project it, look its DISTINCT key up, keep it) in units of
+// one integer step of the index path (a bitmap set or test). Measured
+// in memory on a 2-vCPU x86-64 host over the 10^6-row scale star: a
+// probe-path row costs about 150 ns (2x10^5 attrname-probe rows in 31
+// ms), an index-path position 1-2.5 ns (16 metricid buckets over 10^6
+// positions walked in 1.0 ms). The constant sits below that 60-150x
+// ratio, so near the crossover the planner keeps the probe path.
+const distinctRowCost = 64
+
+// chooseIndexDistinct decides whether this execution answers the plan's
+// distinctPush from the hash index on its column. Without WHERE it
+// always does: one step per bucket beats a row visit per row. With
+// WHERE d = v, the probe bucket P of d's index must be exact for v — not
+// mixed and holding v itself — so P is precisely the qualifying rows;
+// otherwise the probe path re-checks candidates and must be used. The
+// index path then costs at most c's indexed positions plus |P| integer
+// steps (P into a bitmap, each bucket walked to its first hit), the
+// probe path |P| row visits, and the cheaper one is taken:
+//
+//	index-distinct iff indexed(c) + |P| <= distinctRowCost * |P|
+func (p *selectPlan) chooseIndexDistinct(args []Value) (accessChoice, bool) {
+	d := p.distinct
+	ix := p.base.index(p.base.Columns[d.col].Name)
+	if ix == nil {
+		return accessChoice{}, false
+	}
+	acc := accessChoice{kind: accessIndexDistinct, column: ix.column, distinct: ix}
+	if d.eq == nil {
+		return acc, true
+	}
+	dx := p.base.index(p.base.Columns[d.eq.col].Name)
+	if dx == nil {
+		return acc, false
+	}
+	v, err := eval(d.eq.val, &env{args: args})
+	if err != nil {
+		return acc, false // the row path surfaces the error, if a row reaches it
+	}
+	probe := emptyIdx
+	if b := dx.bucketOf(v); b != nil {
+		if b.mixed || !Equal(b.rep(), v) {
+			return acc, false
+		}
+		probe = b.pos
+	}
+	if ix.indexed+len(probe) > distinctRowCost*len(probe) {
+		return acc, false
+	}
+	acc.idx = probe
+	return acc, true
+}
+
+// distinctEntry is one distinct value the index path found, with its
+// first qualifying position: the row the naive executor keeps for it.
+type distinctEntry struct {
+	v   Value
+	pos int
+}
+
+// indexDistinct answers the plan's distinctPush from the buckets of
+// acc.distinct, restricted to the positions in acc.idx when non-nil.
+// A pure bucket contributes its representative at its first qualifying
+// position without any row read; a mixed bucket's qualifying rows are
+// read and split by DISTINCT identity. The result is what the naive
+// executor returns: first-occurrence order, or (Compare, first position)
+// order under ORDER BY with DESC flipping only the Compare term, then
+// LIMIT; COUNT skips NULL and ignores LIMIT.
+func (p *selectPlan) indexDistinct(acc accessChoice) ([][]Value, error) {
+	ix, d := acc.distinct, p.distinct
+	view := p.base.view()
+	var bits []uint64 // qualifying positions; nil: every row qualifies
+	if acc.idx != nil {
+		bits = make([]uint64, (view.total()+63)/64)
+		for _, q := range acc.idx {
+			bits[q>>6] |= 1 << (q & 63)
+		}
+	}
+	hit := func(q int) bool { return bits == nil || bits[q>>6]&(1<<(q&63)) != 0 }
+	if d.count && bits == nil && ix.mixed == 0 {
+		return [][]Value{{Int(int64(len(ix.buckets)))}}, nil // one value per bucket
+	}
+
+	// COUNT needs only the number of entries, so it collects none.
+	var out []distinctEntry
+	n := 0
+	emit := func(v Value, q int) {
+		n++
+		if !d.count {
+			out = append(out, distinctEntry{v, q})
+		}
+	}
+	if bits == nil && !d.count {
+		out = make([]distinctEntry, 0, len(ix.buckets)+1)
+	}
+	var split valueSet // identities never span buckets: one set serves all
+	for i := range ix.buckets {
+		b := &ix.buckets[i]
+		if !b.mixed {
+			if bits == nil {
+				emit(b.rep(), b.pos[0])
+				continue
+			}
+			for _, q := range b.pos {
+				if hit(q) {
+					emit(b.rep(), q)
+					break
+				}
+			}
+			continue
+		}
+		for _, q := range b.pos {
+			if !hit(q) {
+				continue
+			}
+			v := view.row(q)[ix.col]
+			if view.err != nil {
+				return nil, view.err
+			}
+			if split.add(v) {
+				emit(v, q)
+			}
+		}
+	}
+	if d.count {
+		return [][]Value{{Int(int64(n))}}, nil
+	}
+	for _, q := range ix.nulls {
+		if hit(q) {
+			emit(Null(), q)
+			break
+		}
+	}
+
+	slices.SortFunc(out, func(a, b distinctEntry) int {
+		if d.order {
+			if c := Compare(a.v, b.v); c != 0 {
+				if d.desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	if lim := p.st.Limit; lim >= 0 && len(out) > lim {
+		out = out[:lim]
+	}
+	vals := make([]Value, len(out))
+	mat := make([][]Value, len(out))
+	for i := range out {
+		vals[i] = out[i].v
+		mat[i] = vals[i : i+1 : i+1]
+	}
+	return mat, nil
 }

@@ -229,3 +229,47 @@ func TestDistinctOrderAllocsTrackDistinct(t *testing.T) {
 		t.Errorf("DISTINCT over 1000 values allocates %.0f, want at least one per value over the %.0f for 10", wide, large)
 	}
 }
+
+// TestNaNOrdersAboveNumbers is the regression for NaN comparing equal to
+// every number: the naive executor matched a NaN row against a = 5 while
+// the hash index filed NaN under its own key and the ordered index sorted
+// it arbitrarily, so indexed plans and the oracle disagreed. NaN now
+// equals only NaN and sorts above every other number.
+func TestNaNOrdersAboveNumbers(t *testing.T) {
+	db := NewDatabase()
+	db.MustExec(`CREATE TABLE t (a FLOAT)`)
+	for i := 0; i < 8; i++ {
+		db.MustExec(`INSERT INTO t VALUES (5)`)
+	}
+	db.MustExec(`INSERT INTO t VALUES ('NaN')`)
+	db.MustExec(`INSERT INTO t VALUES (7)`)
+	if err := db.CreateIndex("t", "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateOrderedIndex("t", "a"); err != nil {
+		t.Fatal(err)
+	}
+	nan := Float(math.NaN())
+	for q, want := range map[string][]Value{
+		`SELECT COUNT(*), MIN(a), MAX(a) FROM t WHERE a = 5`: {Int(8), Float(5), Float(5)},
+		`SELECT COUNT(*) FROM t WHERE a IN (5, 6)`:           {Int(8)},
+		`SELECT COUNT(*) FROM t WHERE a BETWEEN 5 AND 5`:     {Int(8)},
+		`SELECT COUNT(*) FROM t WHERE a > 6`:                 {Int(2)},
+		`SELECT COUNT(*) FROM t WHERE a = 'NaN'`:             {Int(1)},
+		`SELECT COUNT(*), MAX(a) FROM t WHERE a != 5`:        {Int(2), nan},
+		`SELECT a FROM t ORDER BY a DESC LIMIT 1`:            {nan},
+		`SELECT DISTINCT a FROM t WHERE a >= 5 ORDER BY a`:   {Float(5), Float(7), nan},
+		`SELECT COUNT(DISTINCT a), MIN(a), MAX(a) FROM t`:    {Int(3), Float(5), nan},
+		`SELECT DISTINCT a FROM t ORDER BY a DESC LIMIT 2`:   {nan, Float(7)},
+		`SELECT COUNT(*) FROM t WHERE a NOT BETWEEN 5 AND 7`: {Int(1)},
+	} {
+		rs := bothExecutors(t, db, q)
+		var got []Value
+		for _, row := range rs.Rows {
+			got = append(got, row...)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%q = %v, want %v", q, got, want)
+		}
+	}
+}

@@ -24,7 +24,8 @@ import (
 
 // zoneEntry is one column's zone map: the Compare-order extremes of the
 // block's non-NULL values (Kind==KindNull when the column is all NULL in
-// this block) and the NULL count. Pruning uses only Compare semantics, so
+// this block; a NaN, the greatest number under Compare, can be the
+// maximum) and the NULL count. Pruning uses only Compare semantics, so
 // it is sound exactly for the predicate shapes whose kernels compare with
 // Compare: <, <=, >, >=, BETWEEN (plain and negated), and IS [NOT] NULL.
 // Equality shapes use Equal, which folds numeric text ('5' = 5) and so
@@ -75,15 +76,10 @@ func buildZoneMap(rows []Row, ncols int) []zoneEntry {
 	zm := make([]zoneEntry, ncols)
 	for c := 0; c < ncols; c++ {
 		z := &zm[c]
-		nan := false
 		for _, r := range rows {
 			v := r[c]
 			if v.IsNull() {
 				z.nulls++
-				continue
-			}
-			if v.Kind == KindFloat && math.IsNaN(v.Float) {
-				nan = true
 				continue
 			}
 			if z.min.IsNull() || Compare(v, z.min) < 0 {
@@ -91,17 +87,6 @@ func buildZoneMap(rows []Row, ncols int) []zoneEntry {
 			}
 			if z.max.IsNull() || Compare(v, z.max) > 0 {
 				z.max = v
-			}
-		}
-		if nan {
-			// NaN compares equal to every number, so it has no place in
-			// the Compare order the extremes track: a NaN that became an
-			// extreme would hide every other value from pruning. It
-			// widens the zone to the whole numeric range instead (text
-			// still sorts above that range).
-			z.min = Float(math.Inf(-1))
-			if z.max.Kind != KindText {
-				z.max = Float(math.Inf(1))
 			}
 		}
 	}
@@ -130,6 +115,14 @@ func decodeZoneMap(meta []byte) ([]zoneEntry, error) {
 		zm[i].min = r.val()
 		zm[i].max = r.val()
 		zm[i].nulls = int32(r.u32())
+		// Segments written while NaN compared equal to every number
+		// recorded a NaN-holding block as [-Inf, +Inf]. NaN now sorts
+		// above +Inf, so a +Inf maximum may hide one: widen it to NaN,
+		// the greatest number. (A genuine +Inf maximum only loses
+		// pruning for bounds at +Inf.)
+		if zm[i].max.Kind == KindFloat && math.IsInf(zm[i].max.Float, 1) {
+			zm[i].max = Float(math.NaN())
+		}
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -217,7 +217,7 @@ func loadAggTable(t *testing.T, db *minidb.Database, seed int64, n int) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1, 1.5, 2.25, -3.75, 0.1}
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1, 1.5, 2.25, -3.75, 0.1, 5}
 	texts := []string{"a", "b", "", "1", " 2 ", "a\x00\x03b", "b\x00\x03c", "abc"}
 	maybeNull := func(v minidb.Value) minidb.Value {
 		if rng.Intn(8) == 0 {
@@ -260,7 +260,9 @@ func loadAggTable(t *testing.T, db *minidb.Database, seed int64, n int) {
 // without ORDER BY.
 func randAggQuery(rng *rand.Rand) string {
 	conds := []string{"g = 'g1'", "g != 'g0'", "i > 5", "i IS NULL", "g = 'none'",
-		"i BETWEEN 0 AND 9", "s LIKE 'a%'", "f > 1", "x IS NOT NULL"}
+		"i BETWEEN 0 AND 9", "s LIKE 'a%'", "f > 1", "x IS NOT NULL",
+		// NaN regressions: f is hash- and ordered-indexed and holds NaN.
+		"f = 5", "f IN (5, 1.5)", "f BETWEEN 5 AND 5", "f >= 2.25"}
 	where := ""
 	sep := " WHERE "
 	for i, n := 0, rng.Intn(3); i < n; i++ {
@@ -332,6 +334,12 @@ func TestDifferentialAggregates(t *testing.T) {
 		t.Run(eng.name, func(t *testing.T) {
 			db := eng.open(t)
 			loadAggTable(t, db, 5, 700)
+			if err := db.CreateIndex("m", "f"); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CreateOrderedIndex("m", "f"); err != nil {
+				t.Fatal(err)
+			}
 			if err := db.Seal(); err != nil {
 				t.Fatal(err)
 			}
@@ -361,5 +369,247 @@ func TestDifferentialAggregates(t *testing.T) {
 				t.Errorf("%d of 400 queries failed; the generator lost its balance", fails)
 			}
 		})
+	}
+}
+
+// distinctPool holds values whose DISTINCT identities collide in the
+// hash index: Int 5, Float 5, '5', '5.0' and ' 5' share a key; so do -0
+// and 0, every NaN, and 2^53 and 2^53+1. Each lands in a TEXT, an INT and
+// a FLOAT column, whose coercions produce different mixes.
+var distinctPool = []minidb.Value{
+	minidb.Int(5), minidb.Float(5), minidb.Text("5"), minidb.Text("5.0"), minidb.Text(" 5"),
+	minidb.Float(math.Copysign(0, -1)), minidb.Int(0), minidb.Float(math.NaN()), minidb.Text("NaN"),
+	minidb.Null(), minidb.Int(1 << 53), minidb.Int(1<<53 + 1), minidb.Text("abc"), minidb.Text("b"),
+	minidb.Float(2.5), minidb.Int(7),
+}
+
+// distinctRows generates n rows of table u starting at id first: a group
+// column g (g9 rare, so an equality on it is a small probe; 1e1 one row
+// in ten, a pure bucket that is not exact for a probe of '10') and the
+// mixed-identity columns s, i, f.
+func distinctRows(rng *rand.Rand, first, n int) [][]minidb.Value {
+	rows := make([][]minidb.Value, n)
+	for r := range rows {
+		g := fmt.Sprintf("g%d", rng.Intn(4))
+		switch k := rng.Intn(200); {
+		case k == 0:
+			g = "g9"
+		case k <= 20:
+			g = "1e1" // alone in its bucket, whose key a probe for '10' shares
+		}
+		rows[r] = []minidb.Value{
+			minidb.Int(int64(first + r)), minidb.Text(g),
+			distinctPool[rng.Intn(len(distinctPool))],
+			distinctPool[rng.Intn(len(distinctPool))],
+			distinctPool[rng.Intn(len(distinctPool))],
+		}
+	}
+	return rows
+}
+
+// randDistinctQuery composes one DISTINCT or COUNT(DISTINCT) query over
+// u, eligible for the index path or one step away from it: the column
+// may be unindexed (id), the probe may be a literal or a parameter and
+// land on an exact, a mixed, an empty or a NULL bucket or fail to
+// evaluate, ORDER BY may be the column either way or another column.
+func randDistinctQuery(rng *rand.Rand) (string, []minidb.Value) {
+	cols := []string{"s", "i", "f", "g", "s", "i", "f", "id"}
+	c := cols[rng.Intn(len(cols))]
+	sel := "SELECT DISTINCT " + c
+	count := rng.Intn(3) == 0
+	if count {
+		sel = "SELECT COUNT(DISTINCT " + c + ")"
+	}
+	q := sel + " FROM u"
+	var args []minidb.Value
+	switch rng.Intn(3) {
+	case 1:
+		lits := []string{"5", "'5'", "'5.0'", "5.0", "-0.0", "0", "'NaN'", "NULL",
+			"9007199254740993", "'abc'", "'g1'", "'g9'", "'none'", "-'x'", "'10'", "10", "'1e1'"}
+		q += " WHERE " + cols[rng.Intn(len(cols))] + " = " + lits[rng.Intn(len(lits))]
+	case 2:
+		params := []minidb.Value{minidb.Int(5), minidb.Text("5"), minidb.Float(math.NaN()),
+			minidb.Float(math.Copysign(0, -1)), minidb.Null(), minidb.Text("g1"), minidb.Text("g9"),
+			minidb.Int(1<<53 + 1), minidb.Text("abc"), minidb.Text("10")}
+		q += " WHERE " + cols[rng.Intn(len(cols))] + " = ?"
+		args = []minidb.Value{params[rng.Intn(len(params))]}
+	}
+	switch rng.Intn(4) {
+	case 1:
+		q += " ORDER BY " + c
+	case 2:
+		q += " ORDER BY " + c + " DESC"
+	case 3:
+		if !count {
+			q += " ORDER BY id"
+		}
+	}
+	if rng.Intn(3) == 0 {
+		q += fmt.Sprintf(" LIMIT %d", rng.Intn(4))
+	}
+	return q, args
+}
+
+// TestDifferentialIndexDistinct pins the index-distinct access path
+// against the naive executor: randomized DISTINCT and COUNT(DISTINCT)
+// queries over hash-indexed columns holding mixed-identity values, with
+// INSERTs (incremental bucket maintenance), UPDATEs and DELETEs (bucket
+// rebuilds) between rounds, on the memory engine and on the disk engine
+// (sealed blocks plus a tail, then again after a reopen). Typed rows and
+// error text must match byte for byte, and Explain must show the path
+// taken where it is eligible and refused where the probe bucket is mixed
+// or small.
+func TestDifferentialIndexDistinct(t *testing.T) {
+	for _, disk := range []bool{false, true} {
+		name := "memory"
+		if disk {
+			name = "disk"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			open := func() *minidb.Database {
+				if !disk {
+					return minidb.NewDatabase()
+				}
+				db, err := minidb.Open(minidb.Options{Dir: dir, SealRows: 256, DisableAutoCompact: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return db
+			}
+			db := open()
+			defer func() { db.Close() }()
+			db.MustExec(`CREATE TABLE u (id INT, g TEXT, s TEXT, i INT, f FLOAT)`)
+			for _, c := range []string{"g", "s", "i", "f"} {
+				if err := db.CreateIndex("u", c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := rand.New(rand.NewSource(13))
+			next := 0
+			insert := func(n int) {
+				if err := db.InsertRows("u", distinctRows(rng, next, n)); err != nil {
+					t.Fatal(err)
+				}
+				next += n
+			}
+			insert(600)
+			if err := db.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			insert(40)
+
+			check := func(round string) {
+				t.Helper()
+				for i := 0; i < 150; i++ {
+					q, args := randDistinctQuery(rng)
+					assertSameDistinct(t, db, round, q, args)
+				}
+				assertDistinctExplains(t, db, round)
+			}
+			check("loaded")
+			for round := 0; round < 4; round++ {
+				insert(25)
+				lo := rng.Intn(next)
+				for _, m := range []string{
+					fmt.Sprintf("UPDATE u SET s = '5.0', f = 'NaN' WHERE id = %d", lo),
+					fmt.Sprintf("UPDATE u SET i = NULL WHERE g = 'g%d' AND id > %d", round, lo),
+					fmt.Sprintf("DELETE FROM u WHERE id BETWEEN %d AND %d", lo, lo+30),
+				} {
+					if _, err := db.Exec(m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				insert(15)
+				if round%2 == 1 {
+					if err := db.Seal(); err != nil {
+						t.Fatal(err)
+					}
+					insert(10)
+				}
+				check(fmt.Sprintf("round %d", round))
+			}
+			if disk {
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				db = open()
+				check("reopened")
+			}
+		})
+	}
+}
+
+// assertSameDistinct runs one prepared query through the planned path
+// and the naive executor and compares typed rows and error text.
+func assertSameDistinct(t *testing.T, db *minidb.Database, round, q string, args []minidb.Value) {
+	t.Helper()
+	var planned *minidb.ResultSet
+	stmt, perr := db.Prepare(q)
+	if perr == nil {
+		planned, perr = stmt.Query(args...)
+	}
+	naive, nerr := db.QueryNaiveArgs(q, args...)
+	if fmt.Sprint(perr) != fmt.Sprint(nerr) {
+		t.Fatalf("%s: %q %v: planned err %v, naive err %v", round, q, args, perr, nerr)
+	}
+	if perr != nil {
+		return
+	}
+	if p, n := typedResult(planned), typedResult(naive); p != n {
+		t.Fatalf("%s: %q %v diverged\nplanned:\n%s\nnaive:\n%s", round, q, args, p, n)
+	}
+}
+
+// assertDistinctExplains checks the access path the planner picks for
+// shapes whose answer is known from the data: eligible shapes without
+// WHERE and with a large exact probe take index-distinct; a probe bucket
+// holding several identities, and a probe too small to pay for walking
+// the DISTINCT column's buckets, keep index-eq.
+func assertDistinctExplains(t *testing.T, db *minidb.Database, round string) {
+	t.Helper()
+	count := func(q string) int64 {
+		rs, err := db.QueryNaive(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs.Rows[0][0].Int
+	}
+	want := map[string]string{
+		"SELECT COUNT(DISTINCT s) FROM u":                    "index-distinct",
+		"SELECT DISTINCT f FROM u ORDER BY f DESC LIMIT 2":   "index-distinct",
+		"SELECT DISTINCT i FROM u":                           "index-distinct",
+		"SELECT DISTINCT s FROM u WHERE g = 'g1' ORDER BY s": "index-distinct",
+		"SELECT COUNT(DISTINCT f) FROM u WHERE g = 'g2'":     "index-distinct",
+		"SELECT DISTINCT id FROM u":                          "seq-scan",
+		"SELECT DISTINCT s FROM u ORDER BY id":               "seq-scan",
+	}
+	if count("SELECT COUNT(DISTINCT s) FROM u WHERE s IN ('5', '5.0', ' 5')") >= 2 {
+		want["SELECT DISTINCT g FROM u WHERE s = '5'"] = "index-eq"
+	}
+	if count("SELECT COUNT(DISTINCT i) FROM u WHERE i IN (9007199254740992, 9007199254740993)") == 2 {
+		want["SELECT DISTINCT g FROM u WHERE i = 9007199254740993"] = "index-eq"
+	}
+	if count("SELECT COUNT(*) FROM u WHERE g = '1e1'") > 0 {
+		want["SELECT DISTINCT s FROM u WHERE g = '10'"] = "index-eq"
+	}
+	if n := count("SELECT COUNT(*) FROM u WHERE g = 'g9'"); n > 0 && 100*n < count("SELECT COUNT(s) FROM u") {
+		want["SELECT DISTINCT s FROM u WHERE g = 'g9'"] = "index-eq"
+	}
+	if len(want) < 11 {
+		t.Fatalf("%s: the data lost its mixed or small probe buckets", round)
+	}
+	for q, access := range want {
+		stmt, err := db.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := stmt.Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Access != access {
+			t.Errorf("%s: %q: access %s, want %s", round, q, info.Access, access)
+		}
 	}
 }

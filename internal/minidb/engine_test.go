@@ -694,10 +694,12 @@ func TestZoneMapPruning(t *testing.T) {
 	}
 }
 
-// TestZoneMapNaN pins zone maps over a float column holding NaN. NaN
-// compares equal to every number, so a block whose first value is NaN
-// once recorded NaN as both extremes and was pruned for f > 1 although
-// every other row matched.
+// TestZoneMapNaN pins zone maps over a float column holding NaN. When
+// NaN compared equal to every number, a block whose first value was NaN
+// recorded NaN as both extremes and was pruned for f > 1 although every
+// other row matched. NaN now sorts above every number, so the two NaN
+// rows (one per block) match f > 1, f >= 2 and NOT BETWEEN -1 AND 1 and
+// no longer match BETWEEN 1 AND 3.
 func TestZoneMapNaN(t *testing.T) {
 	db := openDisk(t, testDiskOpts(t.TempDir()))
 	db.MustExec(`CREATE TABLE z (id INT, f FLOAT)`)
@@ -719,12 +721,13 @@ func TestZoneMapNaN(t *testing.T) {
 		t.Fatal(err)
 	}
 	for q, want := range map[string]int{
-		`SELECT id FROM z WHERE f > 1`:                  vecBlockSize - 1,
+		`SELECT id FROM z WHERE f > 1`:                  vecBlockSize + 1,
 		`SELECT id FROM z WHERE f < -1`:                 vecBlockSize - 1,
 		`SELECT id FROM z WHERE f >= 2`:                 vecBlockSize + 1,
-		`SELECT id FROM z WHERE f BETWEEN 1 AND 3`:      vecBlockSize + 1,
+		`SELECT id FROM z WHERE f BETWEEN 1 AND 3`:      vecBlockSize - 1,
 		`SELECT id FROM z WHERE f > 'a'`:                0,
-		`SELECT id FROM z WHERE f NOT BETWEEN -1 AND 1`: 2*vecBlockSize - 2,
+		`SELECT id FROM z WHERE f NOT BETWEEN -1 AND 1`: 2 * vecBlockSize,
+		`SELECT id FROM z WHERE f > 1e308`:              2,
 	} {
 		planned, err := db.Query(q)
 		if err != nil {
@@ -934,4 +937,32 @@ func applyToMemory(db *Database, rec []byte) error {
 		return nil
 	}
 	return errf("exec", "unknown record kind %q", rec[0])
+}
+
+// TestZoneMapLegacyInfMax pins how zone maps written while NaN compared
+// equal to every number are read back: such a segment recorded a
+// NaN-holding block as [-Inf, +Inf], and NaN now sorts above +Inf, so a
+// decoded +Inf maximum must not prune a bound a NaN satisfies.
+func TestZoneMapLegacyInfMax(t *testing.T) {
+	legacy := []zoneEntry{{min: Float(math.Inf(-1)), max: Float(math.Inf(1))}}
+	zm, err := decodeZoneMap(encodeZoneMap(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt := vecPred{kind: vpCmp, col: 0, op: ">"}
+	kernels := []boundVec{{pred: &gt, a: Float(math.Inf(1))}}
+	if pruneBlock(zm, kernels) {
+		t.Error("a decoded +Inf maximum pruned f > +Inf, which a NaN row satisfies")
+	}
+	fresh := buildZoneMap([]Row{{Float(1)}, {Float(math.NaN())}, {Float(2)}}, 1)
+	if !math.IsNaN(fresh[0].max.Float) || fresh[0].min != Float(1) {
+		t.Errorf("zone of {1, NaN, 2} = [%v, %v], want [1, NaN]", fresh[0].min, fresh[0].max)
+	}
+	if pruneBlock(fresh, kernels) {
+		t.Error("a NaN maximum pruned f > +Inf")
+	}
+	kernels[0].a = Float(5)
+	if !pruneBlock(buildZoneMap([]Row{{Float(1)}, {Float(2)}}, 1), kernels) {
+		t.Error("a NaN-free zone [1, 2] did not prune f > 5")
+	}
 }

@@ -16,8 +16,11 @@ type PlanInfo struct {
 	Naive bool // routed to the naive executor (unsafe predicates)
 
 	// Access is one of seq-scan, index-eq, index-in, index-range,
-	// index-null, or ordered-walk; AccessColumn names the probed index
-	// column for the index kinds and the walk.
+	// index-null, ordered-walk, or index-distinct (DISTINCT or
+	// COUNT(DISTINCT) answered from hash-index buckets, no row scan);
+	// AccessColumn names the probed index column for the index kinds and
+	// the walk, and the DISTINCT column for index-distinct, whose
+	// Candidates is the WHERE equality's probe bucket size, if any.
 	Access       string
 	AccessColumn string
 	Candidates   int // narrowed candidate row count; -1 when not narrowed
@@ -132,6 +135,7 @@ func (p *selectPlan) explain(args []Value) (*PlanInfo, error) {
 
 	st := p.st
 	switch {
+	case acc.kind == accessIndexDistinct: // answered whole from the index
 	case p.hasAgg: // aggregates consume everything; LIMIT is ignored
 	case len(st.OrderBy) > 0:
 		if acc.walk != nil {

@@ -1,8 +1,11 @@
 package minidb
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // hashIndex is a secondary hash index over one column of a table. It maps
@@ -15,10 +18,45 @@ import (
 // — so every consumer re-evaluates its predicate on the candidate rows.
 // The key function guarantees there are no false negatives: any two
 // values for which Equal reports true map to the same key.
+//
+// Each bucket also records its representative — the value of its first
+// row — and whether any later row holds a value DISTINCT tells apart from
+// it (valueSet identity: Int 5, Float 5 and Text "5.0" share the key n:5
+// but are three values; so are -0 and 0, and ints above 2^53 that round
+// to one float). A bucket that is not mixed holds exactly one DISTINCT
+// value, which lets DISTINCT and COUNT(DISTINCT) be answered from the
+// bucket list without reading rows (agg.go). A t: key holds exactly
+// one text and is never mixed.
 type hashIndex struct {
 	column  string
-	col     int // column position in the table
-	buckets map[string][]int
+	col     int              // column position in the table
+	ids     map[string]int32 // key -> index into buckets
+	buckets []bucket         // ascending by first position
+	nulls   []int            // positions of NULL rows, ascending
+	indexed int              // non-NULL positions across all buckets
+	mixed   int              // buckets with mixed set
+}
+
+// bucket is one hash-index key's rows. The representative is stored
+// unpacked (kind plus payload, 32 bytes against a Value's 40 and a
+// separate flag): scale stores carry 10^5-bucket indexes.
+type bucket struct {
+	pos   []int  // ascending
+	text  string // representative payload: text,
+	num   uint64 // or int / float bits
+	kind  Kind
+	mixed bool // some row's value is not DISTINCT-identical to rep()
+}
+
+// rep returns the bucket's representative, the value at pos[0].
+func (b *bucket) rep() Value {
+	switch b.kind {
+	case KindInt:
+		return Int(int64(b.num))
+	case KindFloat:
+		return Float(math.Float64frombits(b.num))
+	}
+	return Text(b.text)
 }
 
 // appendIndexKey appends a value's normalized hash key to dst,
@@ -46,8 +84,8 @@ func appendIndexKey(dst []byte, v Value) ([]byte, bool) {
 	return append(dst, v.Text...), true
 }
 
-// indexKey materializes the key as a string, for bucket-map inserts
-// (which must retain the key).
+// indexKey materializes the key as a string, for self-built hash-join
+// buckets (which must retain the key).
 func indexKey(v Value) (string, bool) {
 	var a [32]byte
 	k, ok := appendIndexKey(a[:0], v)
@@ -57,23 +95,73 @@ func indexKey(v Value) (string, bool) {
 	return string(k), true
 }
 
-// add records a newly appended row at position pos.
+// add records a newly appended row at position pos. Only a new bucket
+// allocates its key.
 func (ix *hashIndex) add(pos int, row Row) {
-	if k, ok := indexKey(row[ix.col]); ok {
-		ix.buckets[k] = append(ix.buckets[k], pos)
+	v := row[ix.col]
+	var a [32]byte
+	k, ok := appendIndexKey(a[:0], v)
+	if !ok {
+		ix.nulls = append(ix.nulls, pos)
+		return
 	}
+	ix.indexed++
+	if id, ok := ix.ids[string(k)]; ok {
+		b := &ix.buckets[id]
+		b.pos = append(b.pos, pos)
+		if !b.mixed && !sameValue(b.rep(), v) {
+			b.mixed = true
+			ix.mixed++
+		}
+		return
+	}
+	key := string(k)
+	b := bucket{pos: []int{pos}, kind: v.Kind}
+	switch v.Kind {
+	case KindInt:
+		b.num = uint64(v.Int)
+	case KindFloat:
+		b.num = math.Float64bits(v.Float)
+	default:
+		// The representative must not pin a decoded block's text: share
+		// the key's bytes when they spell the text (always for t: keys,
+		// and for canonical numeric text such as "42"), else copy it.
+		if t := key[2:]; t == v.Text {
+			b.text = t
+		} else {
+			b.text = strings.Clone(v.Text)
+		}
+	}
+	ix.ids[key] = int32(len(ix.buckets))
+	ix.buckets = append(ix.buckets, b)
+}
+
+// bucketOf returns the bucket an equality probe for v reads, or nil when
+// no row can be Equal to v.
+func (ix *hashIndex) bucketOf(v Value) *bucket {
+	var a [32]byte
+	k, ok := appendIndexKey(a[:0], v)
+	if !ok {
+		return nil
+	}
+	return ix.bucketOfKey(k)
+}
+
+func (ix *hashIndex) bucketOfKey(k []byte) *bucket {
+	if id, ok := ix.ids[string(k)]; ok {
+		return &ix.buckets[id]
+	}
+	return nil
 }
 
 // lookup returns the candidate row positions for an equality probe, in
 // ascending (insertion) order. A nil probe key yields no candidates. The
 // probe key lives in a stack scratch buffer; no allocation per probe.
 func (ix *hashIndex) lookup(v Value) []int {
-	var a [32]byte
-	k, ok := appendIndexKey(a[:0], v)
-	if !ok {
-		return nil
+	if b := ix.bucketOf(v); b != nil {
+		return b.pos
 	}
-	return ix.buckets[string(k)]
+	return nil
 }
 
 // rebuild recomputes the index from scratch, after deletes or updates
@@ -83,11 +171,15 @@ func (ix *hashIndex) lookup(v Value) []int {
 // any (impossible on pure-tail tables, which is every post-materialize
 // rebuild site).
 func (ix *hashIndex) rebuild(v *rowsView) error {
-	ix.buckets = make(map[string][]int, len(ix.buckets))
+	ix.ids = make(map[string]int32, len(ix.buckets))
+	ix.buckets = make([]bucket, 0, len(ix.buckets))
+	ix.nulls = nil
+	ix.indexed, ix.mixed = 0, 0
 	n := v.total()
 	for pos := 0; pos < n; pos++ {
 		ix.add(pos, v.row(pos))
 	}
+	ix.buckets = slices.Clone(ix.buckets) // drop the append slack
 	return v.err
 }
 
@@ -105,7 +197,7 @@ func (t *Table) addIndex(column string) (created bool, err error) {
 	if _, ok := t.indexes[column]; ok {
 		return false, nil
 	}
-	ix := &hashIndex{column: column, col: col, buckets: make(map[string][]int)}
+	ix := &hashIndex{column: column, col: col}
 	v := t.view()
 	if err := ix.rebuild(&v); err != nil {
 		return false, err

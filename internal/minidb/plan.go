@@ -23,7 +23,10 @@ import (
 //   - satisfies a single-key ORDER BY from ordered-index order (streaming
 //     with LIMIT stopping early) when no probe narrowed the scan; when one
 //     did, ORDER BY ... LIMIT materializes through a bounded top-k heap
-//     instead of sorting the full result.
+//     instead of sorting the full result, and
+//   - answers SELECT DISTINCT c / COUNT(DISTINCT c) from the hash index
+//     on c without reading rows (agg.go), optionally under one equality
+//     on another indexed column, when the bucket sizes say it is cheaper.
 //
 // Execution is a pull-based iterator pipeline (rowSrc), so consumers can
 // stream rows without materializing the whole result. Aggregates fold the
@@ -77,6 +80,18 @@ type orderPush struct {
 	desc bool
 }
 
+// distinctPush records a select answerable from hash-index buckets: one
+// bare base column c under DISTINCT or as COUNT(DISTINCT c), WHERE absent
+// or a single equality conjunct, ORDER BY absent or c. Whether the index
+// answers it is decided per execution (chooseIndexDistinct).
+type distinctPush struct {
+	col   int
+	count bool    // COUNT(DISTINCT c); else SELECT DISTINCT c
+	order bool    // ORDER BY c
+	desc  bool    // ... DESC
+	eq    *eqCand // the WHERE equality, or nil
+}
+
 // selectPlan is a planned SELECT, valid for the schema it was planned
 // against. A plan is immutable after planSelect returns — Stmt caches one
 // plan across executions (invalidated by Database.schemaGen) and may run
@@ -109,6 +124,7 @@ type selectPlan struct {
 
 	vecPreds []vecPred  // compiled column-at-a-time forms of leftPred, 1:1
 	orderBy  *orderPush // non-nil: ORDER BY satisfiable from index order
+	distinct *distinctPush
 	hasAgg   bool
 
 	// Per-row work bound to the combined row shape (agg.go): the
@@ -486,7 +502,56 @@ func (db *Database) planSelect(st *SelectStmt) (*selectPlan, error) {
 			}
 		}
 	}
+	p.distinct = p.planIndexDistinct()
 	return p, nil
+}
+
+// planIndexDistinct recognizes the shapes distinctPush describes. The
+// single conjunct, if any, must be the plan's one equality candidate.
+func (p *selectPlan) planIndexDistinct() *distinctPush {
+	st := p.st
+	if p.join != nil || st.Star || len(st.Items) != 1 ||
+		len(p.leftPred) > 1 || len(p.eqCands) != len(p.leftPred) {
+		return nil
+	}
+	d := &distinctPush{}
+	expr := st.Items[0].Expr
+	if agg, ok := expr.(*Aggregate); ok {
+		if agg.Func != "COUNT" || !agg.Distinct || agg.Star {
+			return nil
+		}
+		d.count = true
+		expr = agg.Arg
+	} else if !st.Distinct {
+		return nil
+	}
+	ref, ok := expr.(*ColumnRef)
+	if !ok {
+		return nil
+	}
+	col, found := resolveStatic(ref, p.cols)
+	if found != 1 {
+		return nil
+	}
+	d.col = col
+	switch len(st.OrderBy) {
+	case 0:
+	case 1:
+		k, ok := st.OrderBy[0].Expr.(*ColumnRef)
+		if !ok {
+			return nil
+		}
+		if idx, found := resolveStatic(k, p.cols); found != 1 || idx != col {
+			return nil
+		}
+		d.order, d.desc = true, st.OrderBy[0].Desc
+	default:
+		return nil
+	}
+	if len(p.eqCands) == 1 {
+		d.eq = &p.eqCands[0]
+	}
+	return d
 }
 
 // baseCol resolves a column reference to its base-table position when it
@@ -540,12 +605,13 @@ func passAll(preds []Expr, e *env, r Row) (bool, error) {
 
 // Access-path kinds, as reported by PlanInfo.
 const (
-	accessSeqScan     = "seq-scan"
-	accessIndexEq     = "index-eq"
-	accessIndexIn     = "index-in"
-	accessIndexRange  = "index-range"
-	accessIndexNull   = "index-null"
-	accessOrderedWalk = "ordered-walk"
+	accessSeqScan       = "seq-scan"
+	accessIndexEq       = "index-eq"
+	accessIndexIn       = "index-in"
+	accessIndexRange    = "index-range"
+	accessIndexNull     = "index-null"
+	accessOrderedWalk   = "ordered-walk"
+	accessIndexDistinct = "index-distinct"
 )
 
 // emptyIdx is the shared "indexed probe with no matches" candidate set;
@@ -563,6 +629,7 @@ type accessChoice struct {
 	idx      []int  // candidate positions, ascending; nil for full scans
 	walk     *orderedIndex
 	walkDesc bool
+	distinct *hashIndex // index-distinct: the index on the DISTINCT column
 }
 
 // chooseAccess evaluates the plan's probe candidates against the bound
@@ -570,6 +637,11 @@ type accessChoice struct {
 // hold at least the database read lock. The error is a block-read
 // failure while lazily building a probed ordered index on a disk table.
 func (p *selectPlan) chooseAccess(args []Value) (accessChoice, error) {
+	if p.distinct != nil {
+		if acc, ok := p.chooseIndexDistinct(args); ok {
+			return acc, nil
+		}
+	}
 	acc := accessChoice{kind: accessSeqScan}
 	bv := p.base.view()
 	constEnv := &env{args: args}
@@ -874,7 +946,9 @@ func (h *hashJoinIter) next() (Row, error) {
 		var ok bool
 		if h.keyBuf, ok = appendIndexKey(h.keyBuf[:0], lr[h.jp.leftKey]); ok {
 			if h.rightIx != nil {
-				h.curPos = h.rightIx.buckets[string(h.keyBuf)]
+				if b := h.rightIx.bucketOfKey(h.keyBuf); b != nil {
+					h.curPos = b.pos
+				}
 			} else {
 				h.curRows = h.buckets[string(h.keyBuf)]
 			}
@@ -1034,8 +1108,15 @@ func (p *selectPlan) rows(args []Value) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := p.pipeline(args, acc)
 	outCols := outputColumns(st, p.cols)
+	if acc.kind == accessIndexDistinct {
+		mat, err := p.indexDistinct(acc)
+		if err != nil {
+			return nil, err
+		}
+		return &Rows{Columns: outCols, mat: mat, limit: -1, materialized: true}, nil
+	}
+	src := p.pipeline(args, acc)
 
 	if p.hasAgg {
 		row, err := p.runAggregatePlan(src, args)

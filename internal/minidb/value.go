@@ -111,8 +111,9 @@ func (v Value) String() string {
 }
 
 // Compare orders two values. NULL sorts before everything; numeric kinds
-// compare numerically (ints and floats intermix); text compares
-// lexicographically; numbers sort before text when kinds are incomparable.
+// compare numerically (ints and floats intermix, NaN ordered as in
+// cmpFloat); text compares lexicographically; numbers sort before text
+// when kinds are incomparable.
 func Compare(a, b Value) int {
 	if a.IsNull() || b.IsNull() {
 		switch {
@@ -139,13 +140,7 @@ func Compare(a, b Value) int {
 		}
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
+		return cmpFloat(af, bf)
 	case !aNum && !bNum:
 		return strings.Compare(a.Text, b.Text)
 	case aNum:
@@ -153,6 +148,30 @@ func Compare(a, b Value) int {
 	default:
 		return 1
 	}
+}
+
+// cmpFloat orders floats the way PostgreSQL's float8 does: -0 equals 0,
+// NaN equals NaN and sorts above every other number. That keeps Compare
+// a total order, so the hash index (one key for every NaN), the ordered
+// index's sort, zone maps and the naive executor all agree on which rows
+// a predicate over a NaN-holding column matches.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	}
+	aNaN, bNaN := a != a, b != b
+	switch {
+	case aNaN && bNaN:
+		return 0
+	case aNaN:
+		return 1
+	}
+	return -1
 }
 
 // Equal reports whether two values compare equal under Compare. Equality
@@ -165,7 +184,7 @@ func Equal(a, b Value) bool {
 		af, aok := a.AsFloat()
 		bf, bok := b.AsFloat()
 		if aok && bok {
-			return af == bf
+			return cmpFloat(af, bf) == 0
 		}
 		return false
 	}

@@ -761,8 +761,10 @@ func BenchmarkColdGetPR(b *testing.B) {
 // BenchmarkScaleEngine measures the million-row engine paths on a
 // reduced (10^5-row) scale star schema: ordered-index range probes and
 // the ORDER BY+LIMIT ordered walk against the naive full-scan executor,
-// plus the hot point-query path the open-loop harness drives. The full
-// 10^6-row acceptance numbers come from pperfgrid-bench -scale-bench.
+// the hot point-query path the open-loop harness drives, and the ordered
+// index's maintenance: a full build, and the merge a probe pays after an
+// insert. The full 10^6-row acceptance numbers come from
+// pperfgrid-bench -scale-bench.
 func BenchmarkScaleEngine(b *testing.B) {
 	db := minidb.NewDatabase()
 	scale, err := datagen.LoadScaleStar(db, datagen.ScaleConfig{
@@ -835,6 +837,43 @@ func BenchmarkScaleEngine(b *testing.B) {
 				b.Fatal(err)
 			}
 			rows.Close()
+		}
+	})
+	// The last two write to results, so they run after the read-only
+	// sub-benchmarks above.
+	b.Run("OrderedBuild", func(b *testing.B) {
+		// An UPDATE of starttime (off the clock) leaves its ordered index
+		// stale; the timed range probe rebuilds it in full.
+		stale := fmt.Sprintf("UPDATE results SET starttime = starttime WHERE execid = '%s'", scale.ExecID(0))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if _, err := db.Exec(stale); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := db.Query(rangeSQL); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("AppendThenRangeProbe", func(b *testing.B) {
+		// One row lands inside the probed window per op; the probe must
+		// bring the starttime index up to date before answering.
+		stmt, err := db.Prepare("SELECT execid, starttime, value FROM results WHERE starttime >= ? AND starttime <= ?")
+		if err != nil {
+			b.Fatal(err)
+		}
+		row := []minidb.Value{minidb.Text(scale.ExecID(0)), minidb.Int(0), minidb.Int(0), minidb.Int(0),
+			minidb.Float(lo), minidb.Float(lo), minidb.Float(1)}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := db.InsertRow("results", row...); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := stmt.Query(minidb.Float(lo), minidb.Float(hi)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -392,8 +392,8 @@ func (w *StarWrapper) internDim(dim int, key string) (int64, error) {
 
 // starInsertResult is the prepared fact-table insert of the publish path.
 // Inserting through the statement maintains the results table's hash
-// indexes incrementally and marks its ordered indexes stale, per minidb's
-// insert contract — the next range probe lazily rebuilds.
+// indexes incrementally, per minidb's insert contract; the next range
+// probe merges the new rows into its ordered index.
 const starInsertResult = "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?, ?)"
 
 // PublishResults implements ResultWriter: each result interns its

@@ -132,6 +132,62 @@ func TestDiskSealCheckpointReopen(t *testing.T) {
 	}
 }
 
+// TestDiskOrderedMergeReadError fails the block read an ordered index's
+// append merge needs (the appended rows were sealed before the probe):
+// the probe must return the error and leave the index exactly as it
+// was, and the next probe, with the block readable again, must merge
+// and answer like the naive executor.
+func TestDiskOrderedMergeReadError(t *testing.T) {
+	opts := testDiskOpts(t.TempDir())
+	opts.PageCacheBytes = -1 // every block read goes to the file
+	db := openDisk(t, opts)
+	seedRuns(t, db, 300)
+	if err := db.CreateOrderedIndex("runs", "gflops"); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT id, gflops FROM runs WHERE gflops >= 100 ORDER BY id"
+	if _, err := db.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	more := make([][]Value, 300)
+	for i := range more {
+		more[i] = []Value{Int(int64(300 + i)), Text("late"), Int(1), Float(float64(i % 250))}
+	}
+	if err := db.InsertRows("runs", more); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	tbl := db.tables["runs"]
+	ox := tbl.ordered["gflops"]
+	ents, nulls, built := ox.ents, ox.nulls, ox.built
+	blk := &tbl.blocks[1] // rows 256..511: old and appended
+	blk.file.Blocks[blk.idx].CRC ^= 1
+	if _, err := db.Query(q); err == nil {
+		t.Fatal("probe over an unreadable block did not fail")
+	}
+	if &ox.ents[0] != &ents[0] || len(ox.ents) != len(ents) || len(ox.nulls) != len(nulls) || ox.built != built || ox.merges != 0 {
+		t.Fatalf("failed merge changed the index: %d entries, %d nulls, built %d (was %d, %d, %d)",
+			len(ox.ents), len(ox.nulls), ox.built, len(ents), len(nulls), built)
+	}
+	blk.file.Blocks[blk.idx].CRC ^= 1
+	got, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.QueryNaive(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultString(got) != resultString(want) {
+		t.Fatalf("after the retried merge:\n%s\nwant:\n%s", resultString(got), resultString(want))
+	}
+	if ox.built != 600 || ox.builds != 1 || ox.merges != 1 {
+		t.Fatalf("built %d after %d builds and %d merges, want 600, 1, 1", ox.built, ox.builds, ox.merges)
+	}
+}
+
 func TestDiskMutationsAfterSeal(t *testing.T) {
 	dir := t.TempDir()
 	db := openDisk(t, testDiskOpts(dir))

@@ -80,7 +80,7 @@ func (pi *PlanInfo) String() string {
 
 // Explain reports how the prepared SELECT would execute with the given
 // parameter bindings, without running it. (Like execution, it may lazily
-// build stale ordered indexes it probes.)
+// build or extend the ordered indexes it probes.)
 func (s *Stmt) Explain(args ...Value) (*PlanInfo, error) {
 	sel, ok := s.st.(*SelectStmt)
 	if !ok {

@@ -211,17 +211,15 @@ func (t *Table) index(column string) *hashIndex {
 	return t.indexes[column]
 }
 
-// noteInsert maintains all indexes after a row append: hash indexes are
-// appended to incrementally, ordered indexes are just marked stale (their
-// rebuild is deferred to the next probe, keeping bulk loads O(1) per row).
+// noteInsert maintains the hash indexes after a row append. Ordered
+// indexes need nothing: the next probe finds them short of the table and
+// merges the appended rows in (ordered.go), keeping bulk loads O(1) per
+// row.
 func (t *Table) noteInsert() {
 	pos := t.sealedRows + len(t.Rows) - 1
 	row := t.Rows[len(t.Rows)-1]
 	for _, ix := range t.indexes {
 		ix.add(pos, row)
-	}
-	for _, ox := range t.ordered {
-		ox.invalidate()
 	}
 }
 

@@ -8,7 +8,9 @@
 package minidb_test
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -126,8 +128,8 @@ func TestDifferentialOrderedFixed(t *testing.T) {
 // naive executor over the adversarial table, interleaving mutations so
 // stale-index rebuilds are exercised mid-stream. Mutations alternate
 // between literal SQL and prepared ?-bound inserts — the write path's
-// ingestion route — so the incremental hash-index add and ordered-index
-// staleness marking in noteInsert are fuzzed alongside the planner.
+// ingestion route — so the incremental hash-index add in noteInsert and
+// the ordered indexes' append merges are fuzzed alongside the planner.
 func TestDifferentialOrderedRandom(t *testing.T) {
 	db := orderedObsDB(t)
 	rng := rand.New(rand.NewSource(99))
@@ -181,6 +183,269 @@ func TestDifferentialOrderedRandom(t *testing.T) {
 				t.Fatalf("iter %d: prepared negated insert: %v", i, err)
 			}
 		}
+	}
+}
+
+// orderedMixPool is the value pool of an ordered column holding every
+// kind Compare orders: Int and Float keys it interleaves, -0 beside 0,
+// NaN above every number, numeric text (ordered as text, after every
+// number) beside non-numeric text, and NULL. Few distinct values over
+// hundreds of rows make long equal-key runs for the descending walk.
+// No Float equals 2^53, which would make Int 2^53 and 2^53+1 both equal
+// to it and Compare intransitive.
+var orderedMixPool = []minidb.Value{
+	minidb.Int(5), minidb.Float(5), minidb.Int(-3), minidb.Float(2.5), minidb.Int(0),
+	minidb.Float(math.Copysign(0, -1)), minidb.Float(0), minidb.Float(math.NaN()),
+	minidb.Int(1 << 53), minidb.Int(1<<53 + 1), minidb.Float(math.Inf(-1)),
+	minidb.Text("5"), minidb.Text("5.0"), minidb.Text("NaN"), minidb.Text("abc"),
+	minidb.Text("b"), minidb.Text(""), minidb.Null(),
+}
+
+// orderedMixRows generates n rows of table om from id first: k mixes
+// kinds, v is a small INT with NULLs.
+func orderedMixRows(rng *rand.Rand, first, n int) [][]minidb.Value {
+	rows := make([][]minidb.Value, n)
+	for r := range rows {
+		v := minidb.Int(int64(rng.Intn(20)))
+		if rng.Intn(9) == 0 {
+			v = minidb.Null()
+		}
+		rows[r] = []minidb.Value{minidb.Int(int64(first + r)), orderedMixPool[rng.Intn(len(orderedMixPool))], v}
+	}
+	return rows
+}
+
+// randOrderedMixQuery composes one query over om that an ordered index
+// answers: a range or BETWEEN probe on k or v (literal or ?-bound, the
+// bound itself any kind), an IS NULL probe, or an ordered walk either
+// way, with optional residual filter, ORDER BY and LIMIT.
+func randOrderedMixQuery(rng *rand.Rand) (string, []minidb.Value) {
+	lits := []string{"5", "5.0", "'5'", "'5.0'", "-0.0", "0", "2.5", "-3", "'NaN'", "'abc'",
+		"'b'", "''", "9007199254740993", "NULL", "?"}
+	ops := []string{">=", ">", "<=", "<"}
+	var args []minidb.Value
+	lit := func() string {
+		l := lits[rng.Intn(len(lits))]
+		if l == "?" {
+			args = append(args, orderedMixPool[rng.Intn(len(orderedMixPool))])
+		}
+		return l
+	}
+	col := "k"
+	if rng.Intn(4) == 0 {
+		col = "v"
+	}
+	q := "SELECT id, k, v FROM om"
+	switch rng.Intn(6) {
+	case 0:
+		q += fmt.Sprintf(" WHERE %s %s %s", col, ops[rng.Intn(4)], lit())
+	case 1:
+		q += fmt.Sprintf(" WHERE %s %s %s AND %s %s %s", col, ops[rng.Intn(2)], lit(), col, ops[2+rng.Intn(2)], lit())
+	case 2:
+		not := ""
+		if rng.Intn(4) == 0 {
+			not = "NOT "
+		}
+		q += fmt.Sprintf(" WHERE %s %sBETWEEN %s AND %s", col, not, lit(), lit())
+	case 3:
+		q += fmt.Sprintf(" WHERE %s IS NULL", col)
+	case 4:
+		q += fmt.Sprintf(" WHERE %s %s %s AND id > %d", col, ops[rng.Intn(4)], lit(), rng.Intn(800))
+	}
+	switch rng.Intn(4) {
+	case 1:
+		q += " ORDER BY " + col
+	case 2:
+		q += " ORDER BY " + col + " DESC"
+	case 3:
+		q += " ORDER BY v DESC"
+	}
+	if rng.Intn(3) == 0 {
+		q += fmt.Sprintf(" LIMIT %d", rng.Intn(40))
+	}
+	return q, args
+}
+
+// TestDifferentialOrderedMixed pins ordered-index answers to the naive
+// executor, typed rows and error text byte for byte, over a column
+// mixing every kind, while the index is maintained every way it can be:
+// a full build, append merges (on disk, appends whose positions a seal
+// has already moved into blocks), rebuilds after DELETE and UPDATE, and
+// on disk a reopen partway through. The build counters prove which
+// maintenance each step took.
+func TestDifferentialOrderedMixed(t *testing.T) {
+	for _, disk := range []bool{false, true} {
+		name := "memory"
+		if disk {
+			name = "disk"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			open := func() *minidb.Database {
+				db := minidb.NewDatabase()
+				if disk {
+					var err error
+					db, err = minidb.Open(minidb.Options{Dir: dir, SealRows: 256, DisableAutoCompact: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				return db
+			}
+			db := open()
+			defer func() { db.Close() }()
+			db.MustExec("CREATE TABLE om (id INT, k FLOAT, v INT)")
+			untype := func() {
+				if err := db.UntypeColumn("om", "k"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			untype()
+			db.MustExec("CREATE ORDERED INDEX om_k ON om (k)")
+			db.MustExec("CREATE ORDERED INDEX om_v ON om (v)")
+
+			rng := rand.New(rand.NewSource(23))
+			next := 0
+			insert := func(n int) {
+				t.Helper()
+				if err := db.InsertRows("om", orderedMixRows(rng, next, n)); err != nil {
+					t.Fatal(err)
+				}
+				next += n
+			}
+			seal := func() {
+				t.Helper()
+				if disk {
+					if err := db.Seal(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			check := func(round string) {
+				t.Helper()
+				for i := 0; i < 120; i++ {
+					q, args := randOrderedMixQuery(rng)
+					assertSameDistinct(t, db, round, q, args)
+				}
+				for q, access := range map[string]string{
+					"SELECT id FROM om WHERE k >= 2.5":             "index-range",
+					"SELECT id FROM om WHERE k BETWEEN -3 AND 'b'": "index-range",
+					"SELECT id FROM om WHERE k IS NULL":            "index-null",
+					"SELECT id, k FROM om ORDER BY k DESC":         "ordered-walk",
+				} {
+					info, err := db.Explain(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if info.Access != access {
+						t.Fatalf("%s: %q: access %s, want %s", round, q, info.Access, access)
+					}
+				}
+			}
+			builds := func(round string, wantBuilds, wantMerges int) {
+				t.Helper()
+				if b, m := db.OrderedIndexBuilds("om", "k"); b != wantBuilds || m != wantMerges {
+					t.Fatalf("%s: k index built %d and merged %d times, want %d and %d",
+						round, b, m, wantBuilds, wantMerges)
+				}
+			}
+
+			insert(600)
+			seal()
+			check("loaded")
+			builds("loaded", 1, 0)
+
+			// Appends merge; on disk the second batch crosses a seal
+			// boundary before the probe, so the merge reads new
+			// positions out of sealed blocks.
+			insert(100)
+			check("appended")
+			builds("appended", 1, 1)
+			insert(200)
+			seal()
+			check("appended across a seal")
+			builds("appended across a seal", 1, 2)
+
+			if disk {
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				db = open()
+				untype()
+				check("reopened")
+				builds("reopened", 1, 0)
+				insert(50)
+				check("reopened and appended")
+				builds("reopened and appended", 1, 1)
+			}
+			b0, m0 := db.OrderedIndexBuilds("om", "k")
+
+			db.MustExec(fmt.Sprintf("DELETE FROM om WHERE id BETWEEN %d AND %d", 100, 160))
+			check("deleted")
+			builds("deleted", b0+1, m0)
+			db.MustExec("UPDATE om SET k = 'zz' WHERE v = 3")
+			check("updated k")
+			builds("updated k", b0+2, m0)
+			// An UPDATE of another column leaves k's index as it is.
+			db.MustExec("UPDATE om SET v = 4 WHERE v = 5")
+			insert(30)
+			seal()
+			check("updated v and appended")
+			builds("updated v and appended", b0+2, m0+1)
+		})
+	}
+}
+
+// TestOrderedIndexMaintenance pins which maintenance each mutation
+// costs: appends, whether literal, prepared or bulk, merge into the
+// built index without a rebuild; DELETE and an UPDATE of the indexed
+// column rebuild it; a probe with nothing new does neither.
+func TestOrderedIndexMaintenance(t *testing.T) {
+	db := orderedObsDB(t)
+	const q = "SELECT k, v FROM obs WHERE k >= 3"
+	probe := func(step string, wantBuilds, wantMerges int) {
+		t.Helper()
+		assertSameResults(t, db, q)
+		if b, m := db.OrderedIndexBuilds("obs", "k"); b != wantBuilds || m != wantMerges {
+			t.Fatalf("%s: built %d and merged %d times, want %d and %d", step, b, m, wantBuilds, wantMerges)
+		}
+	}
+	probe("first probe", 1, 0)
+	probe("second probe", 1, 0)
+	db.MustExec("INSERT INTO obs VALUES (5, 'x', 1.0)")
+	probe("insert", 1, 1)
+	ins, err := db.Prepare("INSERT INTO obs VALUES (?, ?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := ins.Exec(minidb.Int(int64(i)), minidb.Text("p"), minidb.Null()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.InsertRows("obs", [][]minidb.Value{{minidb.Null(), minidb.Text("n"), minidb.Float(2)}}); err != nil {
+		t.Fatal(err)
+	}
+	probe("prepared and bulk inserts", 1, 2)
+	db.MustExec("DELETE FROM obs WHERE tag = 'p'")
+	probe("delete", 2, 2)
+	db.MustExec("DELETE FROM obs WHERE tag = 'nothing'")
+	probe("delete of no row", 2, 2)
+	db.MustExec("UPDATE obs SET k = 8 WHERE tag = 'x'")
+	probe("update of k", 3, 2)
+	db.MustExec("UPDATE obs SET v = 8 WHERE tag = 'x'")
+	probe("update of v", 3, 2)
+	db.MustExec("DELETE FROM obs")
+	probe("delete all", 4, 2)
+	db.MustExec("INSERT INTO obs VALUES (5, 'x', 1.0)")
+	probe("insert into emptied table", 4, 3)
+
+	var lim *minidb.Error
+	if err := minidb.OrderedLimitErr(math.MaxInt32 + 1); !errors.As(err, &lim) {
+		t.Fatalf("build past the int32 position limit: err %v, want *minidb.Error", err)
+	}
+	if err := minidb.OrderedLimitErr(math.MaxInt32); err != nil {
+		t.Fatalf("build of math.MaxInt32 rows: %v", err)
 	}
 }
 
@@ -363,9 +628,10 @@ func TestExplainWithParams(t *testing.T) {
 	}
 }
 
-// TestOrderedIndexConcurrentLazyBuild invalidates the index, then lets
-// many readers probe simultaneously: exactly the window where the lazy
-// rebuild races. Run under -race this pins the per-index build lock.
+// TestOrderedIndexConcurrentLazyBuild invalidates the index (even
+// rounds) or appends to it (odd rounds), then lets many readers probe
+// simultaneously: exactly the window where the lazy rebuild or merge
+// races. Run under -race this pins the per-index build lock.
 func TestOrderedIndexConcurrentLazyBuild(t *testing.T) {
 	db := orderedObsDB(t)
 	want, err := db.Query("SELECT k, v FROM obs WHERE k BETWEEN 2 AND 7 ORDER BY k, v")
@@ -374,9 +640,11 @@ func TestOrderedIndexConcurrentLazyBuild(t *testing.T) {
 	}
 	wantRows := want.Strings()
 	for round := 0; round < 5; round++ {
-		// Mutation marks both ordered indexes stale.
 		db.MustExec(fmt.Sprintf("INSERT INTO obs VALUES (100, 'zz', %d.5)", round))
-		db.MustExec("DELETE FROM obs WHERE k = 100")
+		if round%2 == 0 {
+			// The DELETE marks both ordered indexes stale.
+			db.MustExec("DELETE FROM obs WHERE k = 100")
+		}
 		var wg sync.WaitGroup
 		errs := make(chan error, 8)
 		for g := 0; g < 8; g++ {

@@ -791,7 +791,7 @@ func (p *selectPlan) chooseAccess(args []Value) (accessChoice, error) {
 		if err := ox.ensure(&bv); err != nil {
 			return acc, err
 		}
-		start, end := 0, len(ox.keys)
+		start, end := 0, len(ox.ents)
 		if hasLo {
 			start = ox.lowerBound(lo, loIncl)
 		}
@@ -807,7 +807,9 @@ func (p *selectPlan) chooseAccess(args []Value) (accessChoice, error) {
 		// Span positions are in key order; the scan must visit them in
 		// table order to match the naive executor's emission order.
 		idx := make([]int, bestSpan.end-bestSpan.start)
-		copy(idx, bestSpan.ix.pos[bestSpan.start:bestSpan.end])
+		for i := range idx {
+			idx[i] = bestSpan.ix.posAt(bestSpan.start + i)
+		}
 		sort.Ints(idx)
 		acc.idx = idx
 	}
@@ -1041,7 +1043,7 @@ func (p *selectPlan) pipeline(args []Value, acc accessChoice) rowSrc {
 	if acc.walk != nil {
 		w := &orderedWalkIter{view: p.base.view(), ix: acc.walk, desc: acc.walkDesc}
 		w.vf.bind(p.vecPreds, args, leftEnv, &w.view)
-		w.hi = len(acc.walk.keys)
+		w.hi = len(acc.walk.ents)
 		scan = w
 	} else {
 		s := &vecScanIter{view: p.base.view(), idx: acc.idx}

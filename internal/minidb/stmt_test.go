@@ -391,8 +391,8 @@ func TestPreparedInsertSignedParams(t *testing.T) {
 
 // TestPreparedInsertMaintainsIndexes pins the contract PublishResults
 // relies on: inserts through the prepared-statement path update hash
-// indexes incrementally and mark ordered indexes stale, exactly like the
-// SQL-text and InsertRow paths.
+// indexes incrementally and reach ordered indexes on their next probe,
+// exactly like the SQL-text and InsertRow paths.
 func TestPreparedInsertMaintainsIndexes(t *testing.T) {
 	db := execDB(t)
 	if err := db.CreateIndex("executions", "numprocesses"); err != nil {
@@ -401,7 +401,7 @@ func TestPreparedInsertMaintainsIndexes(t *testing.T) {
 	if err := db.CreateOrderedIndex("executions", "gflops"); err != nil {
 		t.Fatal(err)
 	}
-	// Warm the ordered index so the insert must re-mark it stale.
+	// Warm the ordered index so the next probe must merge the insert in.
 	if _, err := db.Query(`SELECT runid FROM executions WHERE gflops > 100`); err != nil {
 		t.Fatal(err)
 	}

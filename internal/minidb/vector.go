@@ -519,7 +519,7 @@ type orderedWalkIter struct {
 	vf   vecFilter
 
 	nullCur        int // cursor into ix.nulls
-	keyCur         int // asc: cursor into ix.pos
+	keyCur         int // asc: cursor into ix.ents
 	hi             int // desc: top boundary of unconsumed keys
 	runCur, runEnd int // desc: current equal-key run [runCur, runEnd)
 	sel            []int
@@ -564,8 +564,8 @@ func (s *orderedWalkIter) fillAsc() int {
 		s.nullCur++
 		n++
 	}
-	for n < vecBlockSize && s.keyCur < len(s.ix.pos) {
-		s.buf[n] = s.ix.pos[s.keyCur]
+	for n < vecBlockSize && s.keyCur < len(s.ix.ents) {
+		s.buf[n] = s.ix.posAt(s.keyCur)
 		s.keyCur++
 		n++
 	}
@@ -576,7 +576,7 @@ func (s *orderedWalkIter) fillDesc() int {
 	n := 0
 	for n < vecBlockSize {
 		if s.runCur < s.runEnd {
-			s.buf[n] = s.ix.pos[s.runCur]
+			s.buf[n] = s.ix.posAt(s.runCur)
 			s.runCur++
 			n++
 			continue
@@ -584,7 +584,7 @@ func (s *orderedWalkIter) fillDesc() int {
 		if s.hi > 0 {
 			j := s.hi
 			i := j - 1
-			for i > 0 && Compare(s.ix.keys[i-1], s.ix.keys[j-1]) == 0 {
+			for i > 0 && s.ix.sameKey(i-1, j-1) {
 				i--
 			}
 			s.runCur, s.runEnd = i, j

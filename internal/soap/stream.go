@@ -111,12 +111,29 @@ func (e *ResponseEncoder) check(err error) {
 	}
 }
 
+// asciiPlain marks the bytes writeEscapedBytes passes through without
+// decoding a rune: 0x20-0x7F except the five entity-escaped characters.
+var asciiPlain = func() (t [256]bool) {
+	for b := 0x20; b <= 0x7F; b++ {
+		t[b] = true
+	}
+	for _, b := range `"'&<>` {
+		t[b] = false
+	}
+	return t
+}()
+
 // writeEscapedBytes is writeEscaped over a byte slice: identical
-// escaping, no string conversion of the input.
+// escaping, no string conversion of the input. Plain ASCII, nearly every
+// byte of a performance-result item, skips the rune decode.
 func writeEscapedBytes(w stringWriter, s []byte, escapeNewline bool) error {
 	var esc string
 	last := 0
 	for i := 0; i < len(s); {
+		if asciiPlain[s[i]] {
+			i++
+			continue
+		}
 		r, width := utf8.DecodeRune(s[i:])
 		i += width
 		switch r {

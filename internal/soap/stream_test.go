@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unicode/utf8"
 )
 
 // nastyStrings exercises every escaping branch: named entities, control
@@ -121,5 +122,79 @@ func TestResponseEncoderItemAllocs(t *testing.T) {
 	run() // grow the buffer once
 	if n := testing.AllocsPerRun(100, run); n != 0 {
 		t.Fatalf("streamed encode allocates %.1f times per envelope, want 0", n)
+	}
+}
+
+// writeEscapedBytesPerRune is writeEscapedBytes without the ASCII fast
+// path: every rune decoded, as the encoder did before it.
+func writeEscapedBytesPerRune(w *bytes.Buffer, s []byte, escapeNewline bool) {
+	for i := 0; i < len(s); {
+		r, width := utf8.DecodeRune(s[i:])
+		i += width
+		switch {
+		case r == '"':
+			w.WriteString(escQuot)
+		case r == '\'':
+			w.WriteString(escApos)
+		case r == '&':
+			w.WriteString(escAmp)
+		case r == '<':
+			w.WriteString(escLT)
+		case r == '>':
+			w.WriteString(escGT)
+		case r == '\t':
+			w.WriteString(escTab)
+		case r == '\n' && escapeNewline:
+			w.WriteString(escNL)
+		case r == '\r':
+			w.WriteString(escCR)
+		case r != '\n' && (!inCharacterRange(r) || r == utf8.RuneError && width == 1):
+			w.WriteString(escFFFD)
+		default:
+			w.Write(s[i-width : i])
+		}
+	}
+}
+
+// TestWriteEscapedBytesFastPath holds the ASCII fast path byte-identical
+// to the per-rune loop, and to the string escaper, over random bytes: invalid UTF-8, control
+// characters, every special, multi-byte runes in and out of the XML
+// range, with newline escaping on and off.
+func TestWriteEscapedBytesFastPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	pieces := [][]byte{
+		[]byte(`"`), []byte("'"), []byte("&"), []byte("<"), []byte(">"),
+		[]byte("\t"), []byte("\n"), []byte("\r"), {0x00}, {0x1f}, {0x7f}, {0x80}, {0xff},
+		[]byte("é"), []byte("\uFFFE"), []byte("\uFFFD"), []byte("\U0001F600"), {0xed, 0xa0, 0x80},
+		{0xe2, 0x82}, []byte("plain 0.125|"),
+	}
+	var got, want bytes.Buffer
+	for i := 0; i < 5000; i++ {
+		var s []byte
+		for n := rng.Intn(24); n > 0; n-- {
+			if rng.Intn(2) == 0 {
+				s = append(s, byte(rng.Intn(256)))
+			} else {
+				s = append(s, pieces[rng.Intn(len(pieces))]...)
+			}
+		}
+		for _, nl := range []bool{false, true} {
+			got.Reset()
+			want.Reset()
+			if err := writeEscapedBytes(&got, s, nl); err != nil {
+				t.Fatal(err)
+			}
+			writeEscapedBytesPerRune(&want, s, nl)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("escapeNewline=%v input %q:\nfast     %q\nper-rune %q", nl, s, got.Bytes(), want.Bytes())
+			}
+			want.Reset()
+			if err := writeEscaped(&want, string(s), nl); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("escapeNewline=%v input %q:\nbytes  %q\nstring %q", nl, s, got.Bytes(), want.Bytes())
+			}
+		}
 	}
 }
